@@ -21,6 +21,7 @@ special-casing or ``hasattr`` probing.
 
 from __future__ import annotations
 
+import operator
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
@@ -28,6 +29,22 @@ from typing import ClassVar, Iterable, Sequence
 from repro._errors import CapabilityError, ConfigurationError
 from repro.api.config import IndexConfig
 from repro.api.results import SearchResult
+
+
+def positive_k(k: object) -> int:
+    """``k`` of a top-k call as a positive ``int``.
+
+    Any integer type is accepted (``operator.index``); a float such as
+    ``2.5``, or a ``k`` below 1, raises
+    :class:`~repro._errors.ConfigurationError`.
+    """
+    try:
+        value = operator.index(k)
+    except TypeError:
+        raise ConfigurationError(f"k must be a positive integer, got {k!r}") from None
+    if value < 1:
+        raise ConfigurationError(f"k must be a positive integer, got {k!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -169,8 +186,7 @@ class SimilarityIndex(ABC):
         """
         if not self.capabilities.scored:
             raise self._unsupported("top_k", "does not produce meaningful scores")
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
+        k = positive_k(k)
         hits = self.search(query, 0.0, query_size=query_size)
         # search() only promises threshold filtering, not ordering — rank
         # here so the truncation keeps the k best of any backend.
@@ -184,6 +200,9 @@ class SimilarityIndex(ABC):
         query_sizes: Sequence[int] | None = None,
     ) -> list[list[SearchResult]]:
         """Workload variant of :meth:`top_k` (default: per-query loop)."""
+        if not self.capabilities.scored:
+            raise self._unsupported("top_k_many", "does not produce meaningful scores")
+        k = positive_k(k)
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
         return [

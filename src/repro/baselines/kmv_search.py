@@ -666,15 +666,13 @@ class GKMVSearchIndex(SimilarityIndex):
         threshold: float,
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
-        kernels: str = "fused",
     ) -> list[list[SearchResult]]:
-        """Batched containment search through the inner fused GB-KMV engine."""
+        """Batched containment search through the inner GB-KMV engine."""
         return self._inner.search_many(
             queries,
             threshold,
             query_sizes=query_sizes,
             row_block_size=row_block_size,
-            kernels=kernels,
         )
 
     def top_k(

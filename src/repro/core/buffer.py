@@ -156,15 +156,18 @@ class FrequentElementVocabulary:
     def split_record(
         self, record: Iterable[object]
     ) -> tuple["FrequentElementBuffer", list[object]]:
-        """Split a record into its buffer and its residual (infrequent) elements."""
+        """Split a record into its buffer and its residual (infrequent) elements.
+
+        The residual list is in no particular order; its consumers hash
+        and sort it.
+        """
+        distinct = set(record)
+        positions = self._positions
         mask = 0
-        residual: list[object] = []
-        for element in set(record):
-            position = self._positions.get(element)
-            if position is None:
-                residual.append(element)
-            else:
-                mask |= 1 << position
+        # The dict-view intersection walks the smaller of the two sides.
+        for element in positions.keys() & distinct:
+            mask |= 1 << positions[element]
+        residual = list(distinct.difference(positions))
         return FrequentElementBuffer(vocabulary=self, mask=mask), residual
 
 

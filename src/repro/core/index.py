@@ -12,9 +12,12 @@ layout (sealed base + mutable tail) of residual hash values with CSR
 offsets, a packed uint64 signature matrix for the frequent-element
 buffers, and parallel size columns — so a query is scored against
 *every* record with a handful of vectorised kernels instead of a
-per-record Python loop.  On top of the single-query
-:meth:`GBKMVIndex.search`, :meth:`GBKMVIndex.search_many` evaluates a
-whole workload at once through the store's value→record join index.
+per-record Python loop.  One engine answers every query:
+:meth:`GBKMVIndex.search_many` scores a whole workload's value-sharing
+pairs through the store's value→record join index and sweeps the
+signature matrix only for queries whose buffer can still reach the
+threshold.  :meth:`GBKMVIndex.search` and :meth:`GBKMVIndex.top_k` are
+one-query calls of it and of :meth:`GBKMVIndex.top_k_many`.
 Inserts merge into the sealed segment incrementally (no wholesale
 re-sort), deletes tombstone in O(1) and compact lazily, and
 :meth:`GBKMVIndex.save` / :meth:`GBKMVIndex.load` round-trip the entire
@@ -52,7 +55,7 @@ import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatError
 from repro.api.config import GBKMVConfig
-from repro.api.interface import Capabilities, SimilarityIndex
+from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import (
     SNAPSHOT_MANIFEST,
     directory_manifest,
@@ -84,7 +87,7 @@ from repro.core.cost_model import (
 from repro.core.gbkmv import GBKMVSketch
 from repro.core.gkmv import GKMVSketch
 from repro.core.profiling import BuildProfile
-from repro.core.store import ColumnarSketchStore
+from repro.core.store import BITS_PER_WORD, ColumnarSketchStore
 from repro.hashing import UnitHash
 
 
@@ -107,27 +110,39 @@ class IndexStatistics:
     build_profile: BuildProfile | None = None
 
 
-#: Default number of physical rows a fused workload pass scores per block.
-#: Peak intermediate memory of :meth:`GBKMVIndex.search_many` is
-#: ``O(num_queries × row_block_size)`` — independent of the store size.
+#: Default number of physical rows per signature-sweep block.  Peak
+#: intermediate memory of a sweep is one ``(swept queries, block)``
+#: matrix — independent of the store size.
 DEFAULT_ROW_BLOCK_SIZE = 4096
+
+#: (swept query, row) cells a default :meth:`GBKMVIndex.search_many`
+#: sweep block holds at least: with fewer swept queries than
+#: ``SWEEP_BLOCK_CELLS / DEFAULT_ROW_BLOCK_SIZE`` the default block grows,
+#: so a sweep of one query (a single ``search``) pays for few blocks.
+SWEEP_BLOCK_CELLS = 256 * DEFAULT_ROW_BLOCK_SIZE
 
 
 @dataclass(frozen=True)
 class WorkloadExecutionStats:
-    """Observed footprint of one fused workload pass (for benchmarks/tests).
+    """Observed footprint of one engine call (for benchmarks/tests).
 
-    ``peak_block_cells`` is the largest ``(B, block)`` matrix the engine
-    actually materialised; ``dense_cells`` is the ``(B, num_rows)`` matrix
-    an unblocked engine would have allocated.  ``estimator_pairs`` counts
-    the (query, row) pairs that reached the Equation-25 estimator after
-    zero-count/zero-overlap candidate pruning; ``hit_pairs`` the pairs
-    that were finally emitted as results.
+    ``estimator_pairs`` counts the live (query, row) pairs sharing a
+    stored value, the only pairs the Equation-25 estimator sees.
+    ``swept_queries`` counts the queries the blocked signature sweep
+    visited at all, in blocks of ``row_block_size`` rows (the size used,
+    derived when the caller left it to the default).  ``num_blocks`` and
+    ``peak_block_cells`` (the largest ``(swept queries, block)`` matrix
+    materialised) count only that swept work, so a call whose queries
+    all fall below their bound reports ``0`` for all three.
+    ``dense_cells`` is the ``(B, num_rows)`` matrix an unblocked,
+    unpruned engine would have allocated; ``hit_pairs`` the pairs
+    finally emitted as results.
     """
 
     num_queries: int
     num_rows: int
     row_block_size: int
+    swept_queries: int
     num_blocks: int
     peak_block_cells: int
     dense_cells: int
@@ -184,12 +199,10 @@ def _assemble_workload_results(
     id_chunks: Sequence[np.ndarray],
     score_chunks: Sequence[np.ndarray],
 ) -> list[list[SearchResult]]:
-    """Group per-block hit chunks by query and order each query's hits.
+    """Group hit chunks by query and order each query's hits.
 
-    Chunks arrive in ascending physical-row order (the block sweep), so a
-    stable grouping sort keeps each query's hits row-ordered — exactly
-    the order the dense engine feeds :func:`_sorted_hits`, making the
-    final per-query orderings identical.
+    Chunks may arrive in any order: the sort below fixes every query's
+    order completely.
     """
     if not query_chunks:
         return [[] for _ in range(num_queries)]
@@ -220,12 +233,12 @@ def results_from_scores(
 ) -> list[SearchResult]:
     """Select, normalise and sort the hits of one query.
 
-    The shared hit-selection policy of every searcher in the library
-    (GB-KMV and the KMV/G-KMV baselines): a zero effective threshold
-    keeps every record, otherwise hits need an intersection estimate of
-    at least ``threshold * query_size`` up to a relative tolerance, and
-    results are ordered by decreasing score with ties broken by record
-    id.
+    The hit-selection policy every searcher in the library shares (the
+    KMV baseline calls this; :meth:`GBKMVIndex.search_many` applies the
+    same test inside its engine): a zero effective threshold keeps every
+    record, otherwise hits need an intersection estimate of at least
+    ``threshold * query_size`` up to a relative tolerance, and results
+    are ordered by decreasing score with ties broken by record id.
 
     ``scores`` is indexed by physical store row; ``row_ids`` maps rows to
     stable record ids (identity when ``None``) and ``alive`` masks out
@@ -285,23 +298,98 @@ def _decode_elements(encoded: Sequence[Sequence[object]]) -> list[object]:
 
 
 @dataclass(frozen=True)
-class _PreparedQuery:
-    """A query reduced to the raw arrays the scoring kernels consume."""
+class _Workload:
+    """A workload reduced to the per-query arrays the engine consumes."""
 
-    mask: int
-    values: np.ndarray
-    residual_size: int
-    query_size: int
+    #: Kept residual hash values of each query, sorted ascending.
+    values: list[np.ndarray]
+    #: Buffer bitmap of each query.
+    masks: list[int]
+    #: ``|L_Q|``, the largest kept value (``0.0`` when none) and whether
+    #: every residual hash value survived the threshold.
+    num_values: np.ndarray
+    max_values: np.ndarray
+    exact: np.ndarray
+    #: ``|Q|`` as float64, the divisor of every score.
+    sizes: np.ndarray
 
-    @property
-    def max_value(self) -> float:
-        """Largest kept hash value (``0.0`` when none were kept)."""
-        return float(self.values[-1]) if self.values.size else 0.0
 
-    @property
-    def exact(self) -> bool:
-        """Whether every residual hash value survived the threshold."""
-        return bool(self.values.size >= self.residual_size)
+#: Id of an empty slot in a running top-k list: sorts after every record id.
+_NO_ID = np.iinfo(np.int64).max
+
+
+def _top_cells(
+    scores: np.ndarray, candidates: np.ndarray, limit: int, ids_ascending: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(row, column)`` of the candidate cells that can enter a row's top ``limit``.
+
+    A row with more than ``limit`` candidates keeps those scoring above
+    its ``limit``-th best candidate score plus the ties at that score —
+    and when ids ascend with the column, only the leftmost ties that
+    fill the ``limit`` slots.  Every dropped cell is beaten by ``limit``
+    kept ones, so merging the kept cells gives the same top lists.
+    """
+    crowded = np.count_nonzero(candidates, axis=1) > limit
+    if crowded.any():
+        crowded_scores = np.where(candidates[crowded], scores[crowded], -np.inf)
+        cutoff = -np.partition(-crowded_scores, limit - 1, axis=1)[:, limit - 1 : limit]
+        above = crowded_scores > cutoff
+        ties = crowded_scores == cutoff
+        if ids_ascending:
+            needed = limit - np.count_nonzero(above, axis=1, keepdims=True)
+            ties &= np.cumsum(ties, axis=1) <= needed
+        candidates[crowded] = above | ties
+    return np.nonzero(candidates)
+
+
+def _clear_pair_cells(
+    cells: np.ndarray,
+    local: np.ndarray,
+    pair_rows: np.ndarray,
+    pair_queries: np.ndarray,
+    row_lo: int,
+    row_hi: int,
+) -> None:
+    """Clear the estimator-pair cells of rows ``[row_lo, row_hi)`` in ``cells``.
+
+    Those pairs were scored in full up front, so a sweep over their
+    buffer overlap alone must skip them.  ``local`` maps a query to its
+    row of ``cells`` (``-1`` when it has none); the pairs are row-sorted,
+    so a block's pairs are one slice.
+    """
+    lo, hi = np.searchsorted(pair_rows, (row_lo, row_hi))
+    cell_rows = local[pair_queries[lo:hi]]
+    mine = cell_rows >= 0
+    cells[cell_rows[mine], pair_rows[lo:hi][mine] - row_lo] = False
+
+
+def _merge_top(
+    top_scores: np.ndarray,
+    top_ids: np.ndarray,
+    queries: np.ndarray,
+    ids: np.ndarray,
+    scores: np.ndarray,
+) -> None:
+    """Fold candidate hits into the running per-query top lists, in place.
+
+    Each row of ``top_scores``/``top_ids`` is kept in final order —
+    decreasing score, ties by increasing id — with empty slots at the end
+    (score ``-inf``, id :data:`_NO_ID`).  One global three-key sort orders
+    the touched queries' lists and candidates together, and each query
+    keeps the entries ranked below the list length.
+    """
+    limit = top_scores.shape[1]
+    touched = np.unique(queries)
+    all_queries = np.concatenate([np.repeat(touched, limit), queries])
+    all_scores = np.concatenate([top_scores[touched].ravel(), scores])
+    all_ids = np.concatenate([top_ids[touched].ravel(), ids])
+    order = np.lexsort((all_ids, -all_scores, all_queries))
+    all_queries = all_queries[order]
+    rank = np.arange(all_queries.size) - np.searchsorted(all_queries, all_queries)
+    keep = rank < limit
+    slots = (all_queries[keep], rank[keep])
+    top_scores[slots] = all_scores[order][keep]
+    top_ids[slots] = all_ids[order][keep]
 
 
 class GBKMVIndex(SimilarityIndex):
@@ -1117,48 +1205,29 @@ class GBKMVIndex(SimilarityIndex):
         query_sketch = self.query_sketch(query)
         return query_sketch.containment_estimate(self.sketch(record_id))
 
-    def _prepare_query(
-        self, query: Iterable[object], query_size: int | None
-    ) -> _PreparedQuery:
-        """Reduce a query to the arrays the scoring kernels consume."""
-        query_elements = set(query)
-        if not query_elements:
-            raise ConfigurationError("query must contain at least one element")
-        q = len(query_elements) if query_size is None else int(query_size)
-        if q <= 0:
-            raise ConfigurationError("query_size must be positive")
-        mask, kept, residual_size = self._sketch_parts(query_elements)
-        return _PreparedQuery(
-            mask=mask, values=kept, residual_size=residual_size, query_size=q
-        )
-
     def _prepare_workload(
         self,
         queries: Sequence[Iterable[object]],
         query_sizes: Sequence[int] | None,
-    ) -> list[_PreparedQuery]:
-        """Prepare a whole workload, batching the residual hashing.
+    ) -> _Workload:
+        """Reduce a workload to the arrays the engine consumes.
 
-        Per query this produces exactly what :meth:`_prepare_query` does
-        (hashes are per-element, so hashing all residuals in one call and
-        slicing is value-identical), but the workload pays one
-        ``hash_many`` call instead of one per query.
+        Per query this keeps exactly the residual values
+        :meth:`query_sketch` keeps (hashes are per-element, so hashing
+        all residuals in one call and slicing is value-identical), but
+        the workload pays one ``hash_many`` call instead of one per query.
         """
         masks: list[int] = []
         residuals: list[list[object]] = []
         sizes: list[int] = []
         for position, query in enumerate(queries):
-            query_elements = set(query)
-            if not query_elements:
+            buffer, residual = self._vocabulary.split_record(query)
+            distinct = buffer.count + len(residual)
+            if not distinct:
                 raise ConfigurationError("query must contain at least one element")
-            q = (
-                len(query_elements)
-                if query_sizes is None
-                else int(query_sizes[position])
-            )
+            q = distinct if query_sizes is None else int(query_sizes[position])
             if q <= 0:
                 raise ConfigurationError("query_size must be positive")
-            buffer, residual = self._vocabulary.split_record(query_elements)
             masks.append(buffer.mask)
             residuals.append(residual)
             sizes.append(q)
@@ -1166,43 +1235,68 @@ class GBKMVIndex(SimilarityIndex):
         hashes = (
             self._hasher.hash_many(flat) if flat else np.empty(0, dtype=np.float64)
         )
-        prepared: list[_PreparedQuery] = []
+        values: list[np.ndarray] = []
         offset = 0
-        for mask, residual, q in zip(masks, residuals, sizes):
-            if residual:
-                values = np.unique(hashes[offset : offset + len(residual)])
-                kept = values[values <= self._threshold]
-                offset += len(residual)
-            else:
-                kept = np.empty(0, dtype=np.float64)
-            prepared.append(
-                _PreparedQuery(
-                    mask=mask, values=kept, residual_size=len(residual), query_size=q
-                )
-            )
-        return prepared
+        for residual in residuals:
+            unique = np.unique(hashes[offset : offset + len(residual)])
+            values.append(unique[unique <= self._threshold])
+            offset += len(residual)
+        num_values = np.array([kept.size for kept in values], dtype=np.int64)
+        return _Workload(
+            values=values,
+            masks=masks,
+            num_values=num_values,
+            max_values=np.array(
+                [kept[-1] if kept.size else 0.0 for kept in values], dtype=np.float64
+            ),
+            exact=num_values >= np.array([len(r) for r in residuals], dtype=np.int64),
+            sizes=np.array(sizes, dtype=np.float64),
+        )
 
-    def _score_prepared(self, prepared: _PreparedQuery) -> np.ndarray:
-        """Estimated intersection size of one prepared query with every record.
+    def _score_estimator_pairs(
+        self, workload: _Workload, query_words: np.ndarray, alive: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Score every live (query, row) pair that shares a stored value, once.
 
-        One pass over the store's value→record join index for the
-        residual counts (touching only occurrences shared with the
-        query), one popcount pass for the buffer overlap, then the
-        batched Equation-25 estimator — no per-record Python work.
+        Only these pairs have a nonzero Equation-25 residual estimate
+        (``K∩ = 0`` estimates to exactly ``0.0`` down every branch), so
+        every other cell scores its buffer overlap alone.  Returns
+        ``(query_idx, rows, estimates)`` sorted by query, then row, with
+        ``estimates`` the full intersection estimate: the exact buffer
+        overlap plus the residual estimate, in the scalar sketch's order.
+        Cost is ``O(matches)``: nothing touches rows the queries miss.
         """
         store = self._store
-        counts = store.intersection_counts_join(prepared.values)
-        buffer_overlap = store.signature_overlap(prepared.mask).astype(np.float64)
-        residual_estimate = residual_intersection_estimates(
+        matches = store.match_workload(workload.values)
+        query_idx, rows, counts = store.match_counts_block(matches, 0, store.num_rows)
+        if alive is not None and query_idx.size:
+            keep = alive[rows]
+            query_idx, rows, counts = query_idx[keep], rows[keep], counts[keep]
+        if not query_idx.size:
+            return query_idx, rows, np.empty(0, dtype=np.float64)
+        overlap = np.bitwise_count(store.signatures[rows] & query_words[query_idx])
+        offsets = store.offsets
+        residual = residual_intersection_estimates(
             counts,
-            store.row_sizes,
-            store.row_max,
-            store.row_exact,
-            prepared.values.size,
-            prepared.max_value,
-            prepared.exact,
+            offsets[rows + 1] - offsets[rows],
+            store.row_max[rows],
+            store.row_exact[rows],
+            workload.num_values[query_idx],
+            workload.max_values[query_idx],
+            workload.exact[query_idx],
         )
-        return buffer_overlap + residual_estimate
+        return query_idx, rows, overlap.sum(axis=1, dtype=np.float64) + residual
+
+    def _engine_inputs(self, workload: _Workload):
+        """What both engine calls start from: packed masks, the result view,
+        ``|H_Q|`` per query and the scored estimator pairs."""
+        store = self._store
+        store.finalize()
+        query_words = store.pack_signature_masks(workload.masks)
+        row_ids, alive = store.result_view()
+        buffer_sizes = np.bitwise_count(query_words).sum(axis=1, dtype=np.int64)
+        pairs = self._score_estimator_pairs(workload, query_words, alive)
+        return query_words, row_ids, alive, buffer_sizes, pairs
 
     def search(
         self,
@@ -1211,6 +1305,10 @@ class GBKMVIndex(SimilarityIndex):
         query_size: int | None = None,
     ) -> list[SearchResult]:
         """Algorithm 2: return records with estimated containment ``>= threshold``.
+
+        A one-query :meth:`search_many` call: the same engine, which for
+        a query below its buffer bound costs ``O(matches)``, not
+        ``O(num_rows)``.
 
         Parameters
         ----------
@@ -1228,14 +1326,8 @@ class GBKMVIndex(SimilarityIndex):
         list[SearchResult]
             Hits sorted by decreasing estimated containment similarity.
         """
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigurationError("threshold must be in [0, 1]")
-        prepared = self._prepare_query(query, query_size)
-        scores = self._score_prepared(prepared)
-        row_ids, alive = self._store.result_view()
-        return results_from_scores(
-            scores, threshold, prepared.query_size, row_ids=row_ids, alive=alive
-        )
+        sizes = None if query_size is None else [query_size]
+        return self.search_many([query], threshold, query_sizes=sizes)[0]
 
     def search_many(
         self,
@@ -1243,23 +1335,28 @@ class GBKMVIndex(SimilarityIndex):
         threshold: float,
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
-        kernels: str = "fused",
     ) -> list[list[SearchResult]]:
-        """Batched Algorithm 2: answer a whole workload in one fused pass.
+        """Batched Algorithm 2: answer a whole workload in one engine call.
 
-        Produces exactly the same hits, scores and ordering as calling
-        :meth:`search` once per query.  The default engine is *fused and
-        blocked*: the whole workload's query values are resolved against
-        the store's value→record join index in one ``searchsorted`` +
-        flat-``bincount`` pass, all signature masks are packed into one
-        ``(B, num_words)`` matrix, and the physical rows are swept in
-        blocks of ``row_block_size`` — peak memory is
-        ``O(B × row_block_size)``, never the dense ``(B, num_rows)``
-        score matrix.  Within each block, (query, row) pairs whose
-        signature overlap *and* residual value intersection are both
-        zero are pruned before the Equation-25 estimator pass (their
-        score is provably exactly ``0.0``, so with a positive threshold
-        they can never be hits).
+        Every score equals the paper's per-record estimate
+        ``query_sketch(q).intersection_size_estimate(sketch(id)) / |Q|``
+        bit for bit.  The engine works in two passes:
+
+        * **Estimator pairs** — the whole workload's query values are
+          resolved against the store's value→record join index in one
+          ``searchsorted`` pass; every live (query, row) pair sharing a
+          stored value is scored once (buffer popcount plus Equation 25).
+        * **Bounded sweep** — every other record scores its buffer
+          overlap ``|H_Q ∩ H_X|`` alone, at most ``|H_Q|``.  So only the
+          queries with ``|H_Q| ≥ ⌈θ·|Q|·(1 − 1e-12)⌉`` can have such hits,
+          and only they are swept over the packed signature matrix in
+          blocks of ``row_block_size`` rows.  At threshold ``0`` every
+          query is swept; a query below its bound never touches a row it
+          shares no value with.
+
+        Peak memory is one ``(swept queries, block)`` matrix, never the
+        dense ``(B, num_rows)`` score matrix.  :attr:`last_workload_stats`
+        reports the swept queries and blocks.
 
         Parameters
         ----------
@@ -1271,284 +1368,105 @@ class GBKMVIndex(SimilarityIndex):
         query_sizes:
             Optional exact query sizes, parallel to ``queries``.
         row_block_size:
-            Rows scored per block (default
-            :data:`DEFAULT_ROW_BLOCK_SIZE`).  Purely an execution knob:
-            results are bitwise identical for every value.
-        kernels:
-            ``"fused"`` (default) or ``"per-query"`` — the latter runs
-            the historical per-query store kernels over a dense
-            ``(B, num_rows)`` matrix, kept as the benchmark baseline.
+            Rows swept per block.  The default is
+            :data:`DEFAULT_ROW_BLOCK_SIZE` rows, or more when fewer than
+            ``SWEEP_BLOCK_CELLS / DEFAULT_ROW_BLOCK_SIZE`` queries are
+            swept (:data:`SWEEP_BLOCK_CELLS` cells per block).  Purely an
+            execution knob: results are bitwise identical for every value.
 
         Returns
         -------
         list[list[SearchResult]]
-            One result list per query, each sorted as in :meth:`search`.
+            One result list per query, each sorted by decreasing score,
+            ties by increasing record id.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
-        if kernels not in ("fused", "per-query"):
-            raise ConfigurationError(
-                f"unknown kernels mode {kernels!r}; use 'fused' or 'per-query'"
-            )
-        prepared = self._prepare_workload(queries, query_sizes)
-        if not prepared:
-            return []
-        if kernels == "per-query":
-            return self._search_many_per_query_kernels(prepared, threshold)
-        return self._search_many_fused(prepared, threshold, row_block_size)
-
-    def _search_many_per_query_kernels(
-        self, prepared: Sequence[_PreparedQuery], threshold: float
-    ) -> list[list[SearchResult]]:
-        """The pre-fusion engine: per-query kernels, dense score matrix.
-
-        Kept verbatim as the benchmark baseline the fused engine is
-        measured (and identity-tested) against.
-        """
-        store = self._store
-        store.finalize()
-        counts = store.intersection_counts_many([p.values for p in prepared])
-        overlaps = store.signature_overlap_many([p.mask for p in prepared])
-        num_values = np.array([[p.values.size] for p in prepared], dtype=np.int64)
-        max_values = np.array([[p.max_value] for p in prepared], dtype=np.float64)
-        exact = np.array([[p.exact] for p in prepared], dtype=bool)
-        residual_estimates = residual_intersection_estimates(
-            counts,
-            store.row_sizes,
-            store.row_max,
-            store.row_exact,
-            num_values,
-            max_values,
-            exact,
-        )
-        scores = overlaps.astype(np.float64) + residual_estimates
-        row_ids, alive = store.result_view()
-        return [
-            results_from_scores(
-                scores[row], threshold, p.query_size, row_ids=row_ids, alive=alive
-            )
-            for row, p in enumerate(prepared)
-        ]
-
-    def _workload_arrays(self, prepared: Sequence[_PreparedQuery]):
-        """Fused-pass inputs: matched occurrences, packed masks, query columns."""
-        store = self._store
-        store.finalize()
-        matches = store.match_workload([p.values for p in prepared])
-        query_words = store.pack_signature_masks([p.mask for p in prepared])
-        num_values = np.array([p.values.size for p in prepared], dtype=np.int64)
-        max_values = np.array([p.max_value for p in prepared], dtype=np.float64)
-        exact = np.array([p.exact for p in prepared], dtype=bool)
-        sizes = np.array([p.query_size for p in prepared], dtype=np.float64)
-        return matches, query_words, num_values, max_values, exact, sizes
-
-    def _sparse_block_estimates(
-        self,
-        matches,
-        num_values: np.ndarray,
-        max_values: np.ndarray,
-        exact: np.ndarray,
-        alive_block: np.ndarray | None,
-        row_lo: int,
-        row_hi: int,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse Equation-25 pass for one block of physical rows.
-
-        Returns ``(query_idx, col_idx, estimates)`` for exactly the live
-        (query, row) pairs with a nonzero residual value intersection —
-        the candidate pruning of the fused engine: pairs with ``K∩ = 0``
-        estimate to exactly ``0.0`` down every branch of Eq. 25, so
-        skipping them is bit-identical to the unpruned dense pass.  This
-        is the single home of the estimator invocation both fused entry
-        points (``search_many``, ``top_k_many``) share.
-        """
-        store = self._store
-        query_idx, col_idx, counts = store.match_counts_block(matches, row_lo, row_hi)
-        if alive_block is not None and query_idx.size:
-            keep = alive_block[col_idx]
-            query_idx, col_idx, counts = query_idx[keep], col_idx[keep], counts[keep]
-        if not query_idx.size:
-            return query_idx, col_idx, np.empty(0, dtype=np.float64)
-        rows = col_idx + row_lo
-        estimates = residual_intersection_estimates(
-            counts,
-            store.row_sizes[rows],
-            store.row_max[rows],
-            store.row_exact[rows],
-            num_values[query_idx],
-            max_values[query_idx],
-            exact[query_idx],
-        )
-        return query_idx, col_idx, estimates
-
-    def _block_scores(
-        self,
-        matches,
-        query_words: np.ndarray,
-        num_values: np.ndarray,
-        max_values: np.ndarray,
-        exact: np.ndarray,
-        alive_block: np.ndarray | None,
-        row_lo: int,
-        row_hi: int,
-    ) -> tuple[np.ndarray, int]:
-        """Dense scores of every (query, row) pair in one block of rows.
-
-        Returns ``(scores, estimator_pairs)``: ``scores`` is the
-        ``(B, block)`` float matrix, bit-identical to the dense engine's
-        slice (popcount overlaps reduced straight into float64 plus the
-        sparse Equation-25 estimates scattered on top), and
-        ``estimator_pairs`` counts the pairs the estimator was actually
-        evaluated on.
-        """
-        scores = self._store.signature_overlap_block(
-            query_words, row_lo, row_hi, dtype=np.float64
-        )
-        query_idx, col_idx, estimates = self._sparse_block_estimates(
-            matches, num_values, max_values, exact, alive_block, row_lo, row_hi
-        )
-        if query_idx.size:
-            scores[query_idx, col_idx] += estimates
-        return scores, int(query_idx.size)
-
-    def _search_many_fused(
-        self,
-        prepared: Sequence[_PreparedQuery],
-        threshold: float,
-        row_block_size: int | None,
-    ) -> list[list[SearchResult]]:
-        """The fused, blocked, pruned workload engine behind :meth:`search_many`."""
-        store = self._store
         block = _resolve_row_block_size(row_block_size)
-        matches, query_words, num_values, max_values, exact, sizes = (
-            self._workload_arrays(prepared)
-        )
-        num_queries = len(prepared)
-        num_rows = store.num_rows
-        row_ids, alive = store.result_view()
-        theta = threshold * sizes
+        if len(queries) == 0:
+            return []
+        workload = self._prepare_workload(queries, query_sizes)
+        store = self._store
+        query_words, row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
+        query_idx, pair_rows, pair_scores = pairs
+        sizes = workload.sizes
+        num_queries, num_rows = sizes.size, store.num_rows
 
-        hit_query_chunks: list[np.ndarray] = []
-        hit_id_chunks: list[np.ndarray] = []
-        hit_score_chunks: list[np.ndarray] = []
-        num_blocks = 0
-        peak_block = 0
-        estimator_pairs = 0
-        hit_pairs = 0
-        # Integer hit floor: a pair with no residual intersection scores
-        # exactly float(overlap), and overlap is an integer, so the float
-        # test `overlap >= θ·(1 − 1e-12)` is equivalent to the integer
-        # test `overlap >= ceil(θ·(1 − 1e-12))` — which keeps the dense
-        # per-block pass entirely in small integers.  Overlaps never
-        # exceed 64·num_words, so floors are clamped just above it (a
-        # clamped floor means "no signature-only hit possible") and the
-        # narrowest sufficient integer dtype is used.
-        max_overlap = 64 * store.signatures.shape[1]
-        overlap_dtype = np.uint8 if max_overlap + 1 <= 255 else np.int32
-        overlap_floor = np.minimum(
-            np.ceil(theta * (1.0 - 1e-12)), float(max_overlap + 1)
-        ).astype(overlap_dtype)
-        for row_lo in range(0, num_rows, block):
-            row_hi = min(row_lo + block, num_rows)
-            block_width = row_hi - row_lo
-            num_blocks += 1
-            peak_block = max(peak_block, block_width)
-            alive_block = None if alive is None else alive[row_lo:row_hi]
+        def ids_of(rows: np.ndarray) -> np.ndarray:
+            return rows if row_ids is None else row_ids[rows]
 
-            if threshold > 0.0:
-                # Sparse Equation-25 pass: only pairs sharing a stored value.
-                query_idx, col_idx, estimates = self._sparse_block_estimates(
-                    matches, num_values, max_values, exact,
-                    alive_block, row_lo, row_hi,
-                )
-                estimator_pairs += int(query_idx.size)
+        # Relative tolerance so exact integer estimates survive the float
+        # noise of ``threshold * |Q|`` without admitting lower scores.
+        cut = threshold * sizes * (1.0 - 1e-12)
+        hit = pair_scores >= cut[query_idx]
+        hit_queries = [query_idx[hit]]
+        hit_ids = [ids_of(pair_rows[hit])]
+        hit_scores = [pair_scores[hit] / sizes[query_idx[hit]]]
+
+        # Any other record scores its integer buffer overlap, at most
+        # |H_Q|, and the float test ``overlap >= cut`` is the integer test
+        # ``overlap >= ceil(cut)``: sweep only the queries that can pass it.
+        floor = np.ceil(cut)
+        swept = np.nonzero(buffer_sizes >= floor)[0]
+        if row_block_size is None and swept.size:
+            block = max(block, SWEEP_BLOCK_CELLS // swept.size)
+        if swept.size:
+            # Swept floors are at most |H_Q| <= 64·num_words, so the
+            # narrowest integer dtype holding that keeps the test exact.
+            max_overlap = BITS_PER_WORD * store.num_words
+            dtype = np.uint8 if max_overlap <= np.iinfo(np.uint8).max else np.int32
+            swept_words = query_words[swept]
+            swept_floor = floor[swept].astype(dtype)[:, np.newaxis]
+            local = np.full(num_queries, -1, dtype=np.int64)
+            local[swept] = np.arange(swept.size)
+            mine = local[query_idx] >= 0
+            order = np.argsort(pair_rows[mine], kind="stable")
+            skip_rows, skip_queries = pair_rows[mine][order], query_idx[mine][order]
+            for row_lo in range(0, num_rows, block):
+                row_hi = min(row_lo + block, num_rows)
                 overlap = store.signature_overlap_block(
-                    query_words, row_lo, row_hi, dtype=overlap_dtype
+                    swept_words, row_lo, row_hi, dtype=dtype
                 )
-                pair_scores = overlap[query_idx, col_idx].astype(np.float64)
-                pair_scores += estimates
-                hits = overlap >= overlap_floor[:, np.newaxis]
-                if alive_block is not None:
-                    hits &= alive_block[np.newaxis, :]
-                # Estimator pairs get the exact float test on their full
-                # score, overriding the integer floor.
-                pair_hit = pair_scores >= theta[query_idx] * (1.0 - 1e-12)
-                hits[query_idx, col_idx] = pair_hit
-                hit_queries, hit_cols = np.nonzero(hits)
-                if not hit_queries.size:
+                hits = overlap >= swept_floor
+                if alive is not None:
+                    hits &= alive[np.newaxis, row_lo:row_hi]
+                _clear_pair_cells(hits, local, skip_rows, skip_queries, row_lo, row_hi)
+                block_queries, columns = np.nonzero(hits)
+                if not block_queries.size:
                     continue
-                hit_scores = overlap[hit_queries, hit_cols].astype(np.float64)
-                if np.any(pair_hit):
-                    # np.nonzero is row-major, so the flat hit indices are
-                    # ascending — locate each estimator hit by bisection
-                    # and patch in its full (overlap + estimate) score.
-                    flat_hits = hit_queries * block_width + hit_cols
-                    pair_flat = (
-                        query_idx[pair_hit] * block_width + col_idx[pair_hit]
-                    )
-                    positions = np.searchsorted(flat_hits, pair_flat)
-                    hit_scores[positions] = pair_scores[pair_hit]
-            else:
-                # θ = 0 keeps every live pair, so every score is needed:
-                # materialise the block's dense float scores directly.
-                scores, block_estimator_pairs = self._block_scores(
-                    matches, query_words, num_values, max_values, exact,
-                    alive_block, row_lo, row_hi,
+                queries_hit = swept[block_queries]
+                hit_queries.append(queries_hit)
+                hit_ids.append(ids_of(columns + row_lo))
+                hit_scores.append(
+                    overlap[block_queries, columns].astype(np.float64) / sizes[queries_hit]
                 )
-                estimator_pairs += block_estimator_pairs
-                if alive_block is None:
-                    hits = np.ones(scores.shape, dtype=bool)
-                else:
-                    hits = np.repeat(
-                        alive_block[np.newaxis, :], num_queries, axis=0
-                    )
-                hit_queries, hit_cols = np.nonzero(hits)
-                if not hit_queries.size:
-                    continue
-                hit_scores = scores[hit_queries, hit_cols]
-            hit_pairs += int(hit_queries.size)
-            rows = hit_cols + row_lo
-            hit_query_chunks.append(hit_queries)
-            hit_id_chunks.append(rows if row_ids is None else row_ids[rows])
-            hit_score_chunks.append(hit_scores / sizes[hit_queries])
 
+        swept_rows = num_rows if swept.size else 0
         self.last_workload_stats = WorkloadExecutionStats(
             num_queries=num_queries,
             num_rows=num_rows,
             row_block_size=block,
-            num_blocks=num_blocks,
-            peak_block_cells=num_queries * peak_block,
+            swept_queries=int(swept.size),
+            num_blocks=-(-swept_rows // block),
+            peak_block_cells=int(swept.size) * min(block, swept_rows),
             dense_cells=num_queries * num_rows,
-            estimator_pairs=estimator_pairs,
-            hit_pairs=hit_pairs,
+            estimator_pairs=int(query_idx.size),
+            hit_pairs=sum(int(chunk.size) for chunk in hit_queries),
         )
-        return _assemble_workload_results(
-            num_queries, hit_query_chunks, hit_id_chunks, hit_score_chunks
-        )
+        return _assemble_workload_results(num_queries, hit_queries, hit_ids, hit_scores)
 
-    def top_k(self, query: Iterable[object], k: int, query_size: int | None = None) -> list[SearchResult]:
+    def top_k(
+        self, query: Iterable[object], k: int, query_size: int | None = None
+    ) -> list[SearchResult]:
         """Return the ``k`` records with the highest estimated containment.
 
-        A convenience companion to threshold search, useful for the domain
-        search example where the user wants the best few matches.
+        A one-query :meth:`top_k_many` call; ties are broken by
+        increasing record id.
         """
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
-        prepared = self._prepare_query(query, query_size)
-        scores = self._score_prepared(prepared) / prepared.query_size
-        row_ids, alive = self._store.result_view()
-        rows = np.arange(scores.size) if alive is None else np.nonzero(alive)[0]
-        candidate_scores = scores[rows]
-        ids = rows if row_ids is None else row_ids[rows]
-        # Same tie policy as results_from_scores: decreasing score, ties by
-        # increasing record id (not physical row, which updates can reorder).
-        order = np.lexsort((ids, -candidate_scores))[:k]
-        return [
-            SearchResult(record_id=int(ids[position]), score=float(candidate_scores[position]))
-            for position in order.tolist()
-        ]
+        sizes = None if query_size is None else [query_size]
+        return self.top_k_many([query], k, query_sizes=sizes)[0]
 
     def top_k_many(
         self,
@@ -1557,85 +1475,113 @@ class GBKMVIndex(SimilarityIndex):
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
     ) -> list[list[SearchResult]]:
-        """Workload variant of :meth:`top_k` on the fused blocked engine.
+        """Workload variant of :meth:`top_k`, on the :meth:`search_many` engine.
 
-        Returns exactly what calling :meth:`top_k` once per query would,
-        but sweeps the rows in blocks of ``row_block_size`` and carries a
-        per-query running top-``k`` (a tournament merge) between blocks —
-        peak memory is ``O(B × (row_block_size + k))``, never the dense
-        ``(B, num_rows)`` score matrix.
+        Each query's running top-``k`` list (decreasing score, ties by
+        increasing id) is seeded with its scored estimator pairs.  Every
+        other record scores at most ``|H_Q| / |Q|``, so a block of rows is
+        swept for a query only while that bound can still displace the
+        running ``k``-th entry: the list holds fewer than ``k`` records,
+        the bound is above the ``k``-th score, or it equals it and the
+        block holds a live id below the ``k``-th id.  Only the swept
+        cells that beat the ``k``-th entry are merged in.  Peak memory is
+        ``O(B × (row_block_size + k))``.
         """
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
+        k = positive_k(k)
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
-        prepared = self._prepare_workload(queries, query_sizes)
-        if not prepared:
-            return []
-        store = self._store
         block = _resolve_row_block_size(row_block_size)
-        matches, query_words, num_values, max_values, exact, sizes = (
-            self._workload_arrays(prepared)
-        )
-        num_queries = len(prepared)
-        num_rows = store.num_rows
-        row_ids, alive = store.result_view()
-
-        # Running top-k per query, maintained in final order (decreasing
-        # score, ties by increasing id).  NaN scores mark tombstoned rows;
-        # they sort last and are dropped at the end.
-        running_scores = np.empty((num_queries, 0), dtype=np.float64)
-        running_ids = np.empty((num_queries, 0), dtype=np.int64)
+        if len(queries) == 0:
+            return []
+        workload = self._prepare_workload(queries, query_sizes)
+        store = self._store
+        query_words, row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
+        query_idx, pair_rows, pair_scores = pairs
+        sizes = workload.sizes
+        num_queries, num_rows = sizes.size, store.num_rows
+        # No list can hold more than every live record.
+        limit = min(k, store.num_records)
+        top_scores = np.full((num_queries, limit), -np.inf)
+        top_ids = np.full((num_queries, limit), _NO_ID, dtype=np.int64)
+        if limit and query_idx.size:
+            _merge_top(
+                top_scores,
+                top_ids,
+                query_idx,
+                pair_rows if row_ids is None else row_ids[pair_rows],
+                pair_scores / sizes[query_idx],
+            )
+        # The same float division the cell scores use, so the bound holds.
+        bound = buffer_sizes.astype(np.float64) / sizes
+        order = np.argsort(pair_rows, kind="stable")
+        skip_rows, skip_queries = pair_rows[order], query_idx[order]
+        local = np.full(num_queries, -1, dtype=np.int64)
+        swept = np.zeros(num_queries, dtype=bool)
         num_blocks = 0
-        peak_block = 0
-        estimator_pairs = 0
-        for row_lo in range(0, num_rows, block):
+        peak_cells = 0
+        for row_lo in range(0, num_rows if limit else 0, block):
             row_hi = min(row_lo + block, num_rows)
-            num_blocks += 1
-            peak_block = max(peak_block, row_hi - row_lo)
+            kth_scores, kth_ids = top_scores[:, -1], top_ids[:, -1]
+            column_ids = (
+                np.arange(row_lo, row_hi) if row_ids is None else row_ids[row_lo:row_hi]
+            )
             alive_block = None if alive is None else alive[row_lo:row_hi]
-            scores, block_estimator_pairs = self._block_scores(
-                matches, query_words, num_values, max_values, exact,
-                alive_block, row_lo, row_hi,
+            active = bound > kth_scores
+            tied = bound == kth_scores
+            if tied.any():
+                live_ids = column_ids if alive_block is None else column_ids[alive_block]
+                if live_ids.size:
+                    active |= tied & (live_ids.min() < kth_ids)
+            active_queries = np.nonzero(active)[0]
+            if not active_queries.size:
+                continue
+            num_blocks += 1
+            peak_cells = max(peak_cells, active_queries.size * (row_hi - row_lo))
+            swept[active_queries] = True
+            cell_scores = store.signature_overlap_block(
+                query_words[active_queries], row_lo, row_hi, dtype=np.float64
             )
-            estimator_pairs += block_estimator_pairs
-            scores /= sizes[:, np.newaxis]
-            rows = np.arange(row_lo, row_hi, dtype=np.int64)
-            column_ids = rows if row_ids is None else row_ids[rows]
+            cell_scores /= sizes[active_queries, np.newaxis]
+            kth_score = kth_scores[active_queries, np.newaxis]
+            beats = (cell_scores > kth_score) | (
+                (cell_scores == kth_score)
+                & (column_ids < kth_ids[active_queries, np.newaxis])
+            )
             if alive_block is not None:
-                scores[:, ~alive_block] = np.nan
-            merged_scores = np.concatenate([running_scores, scores], axis=1)
-            merged_ids = np.concatenate(
-                [running_ids, np.broadcast_to(column_ids, scores.shape)], axis=1
+                beats &= alive_block
+            local.fill(-1)
+            local[active_queries] = np.arange(active_queries.size)
+            _clear_pair_cells(beats, local, skip_rows, skip_queries, row_lo, row_hi)
+            candidates, columns = _top_cells(
+                cell_scores,
+                beats,
+                limit,
+                row_ids is None or bool(np.all(column_ids[1:] > column_ids[:-1])),
             )
-            # Two stable axis-1 argsorts realise the (decreasing score,
-            # increasing id) order row-wise: ids first, then scores — NaNs
-            # (dead rows, empty slots) sort to the back of every row.
-            id_order = np.argsort(merged_ids, axis=1, kind="stable")
-            merged_scores = np.take_along_axis(merged_scores, id_order, axis=1)
-            merged_ids = np.take_along_axis(merged_ids, id_order, axis=1)
-            score_order = np.argsort(-merged_scores, axis=1, kind="stable")[:, :k]
-            running_scores = np.take_along_axis(merged_scores, score_order, axis=1)
-            running_ids = np.take_along_axis(merged_ids, score_order, axis=1)
+            if candidates.size:
+                _merge_top(
+                    top_scores,
+                    top_ids,
+                    active_queries[candidates],
+                    column_ids[columns],
+                    cell_scores[candidates, columns],
+                )
 
+        filled_queries, slots = np.nonzero(top_ids != _NO_ID)
         self.last_workload_stats = WorkloadExecutionStats(
             num_queries=num_queries,
             num_rows=num_rows,
             row_block_size=block,
+            swept_queries=int(np.count_nonzero(swept)),
             num_blocks=num_blocks,
-            peak_block_cells=num_queries * peak_block,
+            peak_block_cells=peak_cells,
             dense_cells=num_queries * num_rows,
-            estimator_pairs=estimator_pairs,
-            hit_pairs=int(np.count_nonzero(~np.isnan(running_scores))),
+            estimator_pairs=int(query_idx.size),
+            hit_pairs=int(filled_queries.size),
         )
-        results: list[list[SearchResult]] = []
-        for position in range(num_queries):
-            hits = [
-                SearchResult(record_id=int(record_id), score=float(score))
-                for record_id, score in zip(
-                    running_ids[position].tolist(), running_scores[position].tolist()
-                )
-                if score == score
-            ]
-            results.append(hits)
-        return results
+        return _assemble_workload_results(
+            num_queries,
+            [filled_queries],
+            [top_ids[filled_queries, slots]],
+            [top_scores[filled_queries, slots]],
+        )

@@ -34,22 +34,18 @@ segment state round-trips through npz snapshots via :meth:`save` /
 :meth:`load`.
 
 On top of the columns the store offers the vectorised kernels the
-batched query engine is built from: whole-dataset intersection counts
-against a sorted query array (a vectorised merge over the CSR arrays),
-popcount-based signature overlaps, and multi-query variants built on the
-value→record join index that touch only the occurrences a query actually
-shares with the dataset.  The multi-query kernels come in two flavours:
-the historical per-query loops (:meth:`intersection_counts_many`,
-:meth:`signature_overlap_many`, kept as the benchmark baseline) and the
+query engine is built from: whole-dataset intersection counts against a
+sorted query array (a vectorised merge over the CSR arrays), and the
 *fused whole-workload* kernels — :meth:`match_workload` resolves every
-query's values against the join index in one ``searchsorted`` pass, and
-:meth:`intersection_counts_block` / :meth:`signature_overlap_block`
-extract ``(B, block)`` count and overlap matrices for any row range, so
-an engine can sweep a workload over the rows in blocks without ever
-materialising a dense ``(B, num_rows)`` intermediate.  Kernels are
-indexed by *physical row*; use :meth:`result_view` (or :attr:`row_ids` /
-:attr:`alive_rows`) to map kernel outputs back to record ids when the
-store has seen deletes.
+query's values against the value→record join index in one
+``searchsorted`` pass, :meth:`match_counts_block` turns the matches of
+any row range into sparse (query, row, count) triples, and
+:meth:`signature_overlap_block` extracts the ``(B, block)`` popcount
+overlap matrix of a row range, so an engine can sweep a workload over
+the rows in blocks without ever materialising a dense ``(B, num_rows)``
+intermediate.  Kernels are indexed by *physical row*; use
+:meth:`result_view` (or :attr:`row_ids` / :attr:`alive_rows`) to map
+kernel outputs back to record ids when the store has seen deletes.
 """
 
 from __future__ import annotations
@@ -110,9 +106,9 @@ class WorkloadMatches:
 
     Produced by :meth:`ColumnarSketchStore.match_workload` in one fused
     pass over the value→record join index; consumed by
-    :meth:`ColumnarSketchStore.intersection_counts_block`, which slices
-    the run by physical-row range — ``rows`` is sorted ascending, so a
-    block is one ``searchsorted`` pair away.
+    :meth:`ColumnarSketchStore.match_counts_block`, which slices the run
+    by physical-row range — ``rows`` is sorted ascending, so a block is
+    one ``searchsorted`` pair away.
     """
 
     #: Number of queries ``B`` in the workload.
@@ -894,68 +890,6 @@ class ColumnarSketchStore:
         cumulative = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(member)])
         return cumulative[self._offsets[1:]] - cumulative[self._offsets[:-1]]
 
-    def intersection_counts_join(self, query_values: np.ndarray) -> np.ndarray:
-        """Same counts as :meth:`intersection_counts` via the value join index.
-
-        Cost is ``O(|Q| log T + matches)`` instead of ``O(T log |Q|)``
-        (``T`` = stored occurrences), which is what makes scoring a whole
-        workload cheap: only occurrences actually shared with the query
-        are touched.
-        """
-        self.finalize()
-        assert self._sorted_values is not None and self._sorted_rows is not None
-        counts = np.zeros(self.num_rows, dtype=np.int64)
-        query_values = np.asarray(query_values, dtype=np.float64)
-        if query_values.size == 0 or self._sorted_values.size == 0:
-            return counts
-        starts = np.searchsorted(self._sorted_values, query_values, side="left")
-        stops = np.searchsorted(self._sorted_values, query_values, side="right")
-        matched = _gather_ranges(starts, stops)
-        if matched.size:
-            counts += np.bincount(
-                self._sorted_rows[matched], minlength=self.num_rows
-            )
-        return counts
-
-    def signature_overlap(self, mask: int) -> np.ndarray:
-        """``|H_Q ∩ H_X|`` for every physical row (popcount of a bitwise AND)."""
-        self.finalize()
-        if self._num_words == 0 or mask == 0:
-            return np.zeros(self.num_rows, dtype=np.int64)
-        query_words = mask_to_words(mask, self._num_words)
-        overlap = np.bitwise_count(self._signatures & query_words[np.newaxis, :])
-        return overlap.sum(axis=1, dtype=np.int64)
-
-    def signature_overlap_many(self, masks: Sequence[int]) -> np.ndarray:
-        """``|H_Q ∩ H_X|`` for a whole workload at once, shape ``(B, num_rows)``.
-
-        One popcount pass per query over the packed signature matrix —
-        measurably faster than an unpacked bit-matrix product at
-        realistic workload sizes, and without materialising a 32×-larger
-        per-bit expansion of the signatures.
-        """
-        self.finalize()
-        num_queries = len(masks)
-        overlaps = np.zeros((num_queries, self.num_rows), dtype=np.int64)
-        for row, mask in enumerate(masks):
-            overlaps[row] = self.signature_overlap(mask)
-        return overlaps
-
-    def intersection_counts_many(
-        self, queries_values: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """``|L_Q ∩ L_X|`` for every (query, row) pair, shape ``(B, num_rows)``.
-
-        Per-query loop over :meth:`intersection_counts_join`; kept as the
-        benchmark baseline for the fused :meth:`match_workload` /
-        :meth:`intersection_counts_block` pair.
-        """
-        self.finalize()
-        counts = np.zeros((len(queries_values), self.num_rows), dtype=np.int64)
-        for row, query_values in enumerate(queries_values):
-            counts[row] = self.intersection_counts_join(query_values)
-        return counts
-
     # ------------------------------------------------- fused workload kernels
     def match_workload(self, queries_values: Sequence[np.ndarray]) -> WorkloadMatches:
         """Resolve a whole workload against the value→record join index at once.
@@ -964,7 +898,7 @@ class ColumnarSketchStore:
         a query-id column; a single pair of ``searchsorted`` calls against
         the join index finds every matched occurrence, and the resulting
         (query id, physical row) pairs are returned sorted by row so
-        :meth:`intersection_counts_block` can slice any row range without
+        :meth:`match_counts_block` can slice any row range without
         rescanning.  No per-query Python iteration anywhere.
         """
         self.finalize()
@@ -974,38 +908,6 @@ class ColumnarSketchStore:
         )
         return WorkloadMatches(len(queries_values), match_rows, match_qids)
 
-    def intersection_counts_block(
-        self,
-        matches: WorkloadMatches,
-        row_lo: int = 0,
-        row_hi: int | None = None,
-    ) -> np.ndarray:
-        """``(B, block)`` intersection counts for physical rows ``[row_lo, row_hi)``.
-
-        One flat ``bincount`` over the row-range slice of the matched
-        pairs; with ``row_hi - row_lo`` bounded, peak memory for a whole
-        workload sweep is ``O(B × block)`` regardless of ``num_rows``.
-        Counts are bit-identical to :meth:`intersection_counts_join` per
-        query (both count the same matched occurrences).
-        """
-        if row_hi is None:
-            row_hi = self.num_rows
-        block = row_hi - row_lo
-        lo = int(np.searchsorted(matches.rows, row_lo, side="left"))
-        hi = int(np.searchsorted(matches.rows, row_hi, side="left"))
-        if hi == lo:
-            return np.zeros((matches.num_queries, block), dtype=np.int64)
-        flat = matches.query_ids[lo:hi] * block + (matches.rows[lo:hi] - row_lo)
-        counts = np.bincount(flat, minlength=matches.num_queries * block)
-        return counts.reshape(matches.num_queries, block).astype(np.int64, copy=False)
-
-    def intersection_counts_fused(
-        self, queries_values: Sequence[np.ndarray]
-    ) -> np.ndarray:
-        """Fused ``(B, num_rows)`` counts: :meth:`match_workload` + one block."""
-        self.finalize()
-        return self.intersection_counts_block(self.match_workload(queries_values))
-
     def match_counts_block(
         self,
         matches: WorkloadMatches,
@@ -1014,11 +916,11 @@ class ColumnarSketchStore:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse intersection counts for rows ``[row_lo, row_hi)``.
 
-        The COO form of :meth:`intersection_counts_block`: returns
-        ``(query_ids, columns, counts)`` for exactly the (query, row)
-        pairs with a nonzero count — columns are block-relative.  Cost is
-        ``O(matches in range)``; nothing dense is touched, which is what
-        lets the engine skip zero-count pairs before the estimator pass.
+        Returns ``(query_ids, columns, counts)`` for exactly the (query,
+        row) pairs with a nonzero count, sorted by query then column —
+        columns are block-relative.  Cost is ``O(matches in range)``;
+        nothing dense is touched, which is what lets the engine score
+        only value-sharing pairs with the estimator.
         """
         if row_hi is None:
             row_hi = self.num_rows
@@ -1053,12 +955,14 @@ class ColumnarSketchStore:
     ) -> np.ndarray:
         """``(B, block)`` signature overlaps for physical rows ``[row_lo, row_hi)``.
 
-        One broadcast AND + ``bitwise_count`` reduction over the packed
-        matrices; the ``(B, block, num_words)`` intermediate is why
-        callers sweep the rows in blocks.  Overlaps are bit-identical to
-        :meth:`signature_overlap` per query (integer popcount sums; every
-        value is at most ``64 × num_words``, so reducing straight into
-        ``float64`` — what the scoring engine asks for — is exact too).
+        One broadcast AND + ``bitwise_count`` per signature word, summed
+        into the ``(B, block)`` result — no ``(B, block, num_words)``
+        intermediate and no reduction over a short trailing axis.  The
+        result matrix is why callers sweep the rows in blocks.  Overlaps
+        are exact integer popcount sums ``|H_Q ∩ H_X|``; every value is at
+        most ``64 × num_words``, so accumulating straight into ``float64``
+        — what the scoring engine asks for — or into ``uint8`` when that
+        bound fits is exact too.
         """
         self.finalize()
         if row_hi is None:
@@ -1067,16 +971,18 @@ class ColumnarSketchStore:
         if self._num_words == 0:
             return np.zeros((num_queries, row_hi - row_lo), dtype=dtype)
         block = self._signatures[row_lo:row_hi]
-        if self._num_words == 1:
-            # Single-word signatures (r <= 64): skip the 3-D intermediate,
-            # and hand back the popcount's native uint8 untouched when the
-            # caller asked for it (the engine's integer hit test does).
-            overlap = np.bitwise_count(
-                block[:, 0][np.newaxis, :] & query_words[:, 0][:, np.newaxis]
+
+        def word_overlap(word: int) -> np.ndarray:
+            return np.bitwise_count(
+                block[:, word][np.newaxis, :] & query_words[:, word][:, np.newaxis]
             )
-            return overlap.astype(dtype, copy=False)
-        overlap = np.bitwise_count(block[np.newaxis, :, :] & query_words[:, np.newaxis, :])
-        return overlap.sum(axis=2, dtype=dtype)
+
+        # The first word's uint8 popcount is handed back untouched when
+        # the caller asked for uint8 (the engine's integer hit test does).
+        overlap = word_overlap(0).astype(dtype, copy=False)
+        for word in range(1, self._num_words):
+            overlap += word_overlap(word)
+        return overlap
 
 
 def _merge_sorted_runs(

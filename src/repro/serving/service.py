@@ -52,7 +52,7 @@ from typing import Iterable, Sequence
 
 from repro._errors import CapabilityError, ConfigurationError
 from repro.api.config import VISIBILITY_POLICIES, ServingConfig
-from repro.api.interface import SimilarityIndex
+from repro.api.interface import SimilarityIndex, positive_k
 from repro.api.results import SearchResult
 from repro.serving.batcher import BatcherStats, MicroBatcher
 from repro.serving.write_buffer import WriteBufferStats, WriteCoalescer
@@ -211,9 +211,7 @@ class SimilarityService:
     ) -> list[SearchResult]:
         """Serve one top-k query; identical to ``index.top_k``."""
         self._require_open()
-        if int(k) < 1:
-            raise ConfigurationError("k must be positive")
-        key = (_TOP_K, int(k), query_size is not None)
+        key = (_TOP_K, positive_k(k), query_size is not None)
         item = (list(query), None if query_size is None else int(query_size))
         return await self._batcher.submit(key, item)
 

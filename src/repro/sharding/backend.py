@@ -31,7 +31,7 @@ import numpy as np
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.api.config import IndexConfig, ShardedConfig
 from repro.core.profiling import BuildProfile
-from repro.api.interface import Capabilities, SimilarityIndex
+from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import get_backend
 from repro.api.results import SearchResult
 from repro.sharding.executor import ShardExecutor
@@ -192,8 +192,7 @@ class ShardedIndex(SimilarityIndex):
         """Exact fan-out top-k: merge per-shard top-k lists, truncate to k."""
         if not self.capabilities.scored:
             raise self._unsupported("top_k", "does not produce meaningful scores")
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
+        k = positive_k(k)
         materialized = _materialize_record(query)
         per_shard = self._executor.map(
             lambda shard: shard.top_k(materialized, k, query_size=query_size),
@@ -212,8 +211,7 @@ class ShardedIndex(SimilarityIndex):
             raise self._unsupported(
                 "top_k_many", "does not produce meaningful scores"
             )
-        if k <= 0:
-            raise ConfigurationError("k must be positive")
+        k = positive_k(k)
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
         materialized = _materialize_records(queries)

@@ -145,6 +145,16 @@ class TestTopK:
             [index.top_k(query, k=3) for query in queries]
         )
 
+    @pytest.mark.parametrize("k", [0, 2.5, 3.0, "3"])
+    def test_non_positive_integer_k_is_rejected(self, index, queries, k):
+        expected = ConfigurationError if index.capabilities.scored else CapabilityError
+        with pytest.raises(expected):
+            index.top_k(queries[0], k=k)
+        with pytest.raises(expected):
+            index.top_k_many(queries, k=k)
+        with pytest.raises(expected):
+            index.top_k_many([], k=k)
+
 
 class TestDynamicOperations:
     def test_insert_many_then_search_sees_the_batch(

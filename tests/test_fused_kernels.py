@@ -1,9 +1,12 @@
 """The fused whole-workload kernels must be indistinguishable from loops.
 
-Covers the hard bitwise-identity requirement of the fused query engine
-across the edge cases: empty workload, empty-value queries, all-tombstone
-store, duplicate values across queries, single-query workloads, and
-``row_block_size`` smaller than / equal to / larger than ``num_rows``.
+Store level, the fused kernels must equal per-query and per-bit
+references.  Index level, the engine must give the same answers for
+every ``row_block_size`` and across the edge cases: empty workload,
+empty-value queries, all-tombstone store, duplicate values across
+queries, single-query workloads, and ``row_block_size`` smaller than /
+equal to / larger than ``num_rows``.  Scores are anchored on the
+per-record sketch oracle in ``tests/property/test_property_index.py``.
 """
 
 from __future__ import annotations
@@ -14,12 +17,43 @@ import pytest
 from repro._errors import ConfigurationError
 from repro.baselines import KMVSearchIndex
 from repro.core import DEFAULT_ROW_BLOCK_SIZE, GBKMVIndex
+from repro.core.index import SWEEP_BLOCK_CELLS
 from repro.core.store import ColumnarSketchStore
 from repro.datasets import sample_queries
 
 
 def _as_pairs(results):
     return [[(hit.record_id, hit.score) for hit in hits] for hits in results]
+
+
+def _dense_counts(store, matches, row_lo=0, row_hi=None):
+    """``match_counts_block``'s sparse counts scattered into a ``(B, block)`` matrix."""
+    row_hi = store.num_rows if row_hi is None else row_hi
+    dense = np.zeros((matches.num_queries, row_hi - row_lo), dtype=np.int64)
+    query_ids, columns, counts = store.match_counts_block(matches, row_lo, row_hi)
+    dense[query_ids, columns] = counts
+    return dense
+
+
+def _per_query_counts(store, queries):
+    """One CSR-merge ``intersection_counts`` pass per query."""
+    return np.array(
+        [store.intersection_counts(query) for query in queries], dtype=np.int64
+    ).reshape(len(queries), store.num_rows)
+
+
+def _bit_count_overlaps(store, masks):
+    """``|H_Q ∩ H_X|`` per (query, record) by Python integer bit counting.
+
+    For stores without deletes, where record ``i`` is physical row ``i``.
+    """
+    return np.array(
+        [
+            [(mask & store.mask_int(record_id)).bit_count() for record_id in range(store.num_rows)]
+            for mask in masks
+        ],
+        dtype=np.int64,
+    )
 
 
 def _store_with_rows(rows, signature_bits=8):
@@ -50,7 +84,7 @@ def small_store():
 
 
 class TestStoreFusedKernels:
-    """Store-level: fused counts/overlaps equal the per-query kernels."""
+    """Store-level: fused counts/overlaps equal per-query references."""
 
     WORKLOADS = {
         "plain": [[0.2, 0.5], [0.1, 0.3, 0.9]],
@@ -64,21 +98,19 @@ class TestStoreFusedKernels:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_fused_counts_match_per_query_kernels(self, small_store, name):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS[name]]
-        fused = small_store.intersection_counts_fused(queries)
-        looped = small_store.intersection_counts_many(queries)
+        fused = _dense_counts(small_store, small_store.match_workload(queries))
+        looped = _per_query_counts(small_store, queries)
         assert np.array_equal(fused, looped)
 
     @pytest.mark.parametrize("block", [1, 2, 5, 7])
     def test_blocked_counts_match_whole_pass(self, small_store, block):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
         matches = small_store.match_workload(queries)
-        whole = small_store.intersection_counts_fused(queries)
+        whole = _dense_counts(small_store, matches)
         num_rows = small_store.num_rows
         assembled = np.concatenate(
             [
-                small_store.intersection_counts_block(
-                    matches, lo, min(lo + block, num_rows)
-                )
+                _dense_counts(small_store, matches, lo, min(lo + block, num_rows))
                 for lo in range(0, num_rows, block)
             ],
             axis=1,
@@ -88,7 +120,7 @@ class TestStoreFusedKernels:
     def test_sparse_counts_match_dense_block(self, small_store):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
         matches = small_store.match_workload(queries)
-        dense = small_store.intersection_counts_block(matches, 1, 4)
+        dense = _per_query_counts(small_store, queries)[:, 1:4]
         query_ids, columns, counts = small_store.match_counts_block(matches, 1, 4)
         rebuilt = np.zeros_like(dense)
         rebuilt[query_ids, columns] = counts
@@ -99,7 +131,7 @@ class TestStoreFusedKernels:
         masks = [0b101, 0b0, 0b111, 0b010]
         words = small_store.pack_signature_masks(masks)
         fused = small_store.signature_overlap_block(words)
-        looped = small_store.signature_overlap_many(masks)
+        looped = _bit_count_overlaps(small_store, masks)
         assert np.array_equal(fused, looped)
         # float accumulation must be exact for popcount-sized integers
         as_float = small_store.signature_overlap_block(words, dtype=np.float64)
@@ -128,7 +160,7 @@ class TestStoreFusedKernels:
         words = store.pack_signature_masks(masks)
         assert words.shape == (3, 2)
         assert np.array_equal(
-            store.signature_overlap_block(words), store.signature_overlap_many(masks)
+            store.signature_overlap_block(words), _bit_count_overlaps(store, masks)
         )
 
     def test_zero_signature_bits(self):
@@ -145,7 +177,7 @@ class TestStoreFusedKernels:
         store = _store_with_rows([], signature_bits=4)
         matches = store.match_workload([np.array([0.25])])
         assert matches.num_matches == 0
-        assert store.intersection_counts_block(matches).shape == (1, 0)
+        assert all(part.size == 0 for part in store.match_counts_block(matches))
 
 
 @pytest.fixture(scope="module")
@@ -156,7 +188,7 @@ def engine_setup(zipf_records):
 
 
 class TestFusedEngineIdentity:
-    """Index-level: fused search_many == per-query kernels == looped search."""
+    """Index-level: search_many equals looped search for every block size."""
 
     @pytest.mark.parametrize("block", [1, 17, 400, 10_000, None])
     @pytest.mark.parametrize("threshold", [0.0, 0.4, 1.0])
@@ -165,9 +197,7 @@ class TestFusedEngineIdentity:
         index, queries = engine_setup
         looped = [index.search(query, threshold) for query in queries]
         fused = index.search_many(queries, threshold, row_block_size=block)
-        per_query = index.search_many(queries, threshold, kernels="per-query")
         assert _as_pairs(fused) == _as_pairs(looped)
-        assert _as_pairs(per_query) == _as_pairs(looped)
 
     def test_single_query_workload(self, engine_setup):
         index, queries = engine_setup
@@ -194,7 +224,7 @@ class TestFusedEngineIdentity:
         index = GBKMVIndex.build(zipf_records[:100], space_fraction=0.1, buffer_size=8)
         buffer_query = list(index.vocabulary.elements)[:4]
         assert buffer_query
-        assert index._prepare_query(buffer_query, None).values.size == 0
+        assert index.query_sketch(buffer_query).residual.values.size == 0
         workload = [buffer_query, list(zipf_records[0]), buffer_query]
         for threshold in (0.0, 0.2):
             fused = index.search_many(workload, threshold, row_block_size=16)
@@ -224,11 +254,6 @@ class TestFusedEngineIdentity:
             fused = index.search_many(queries, 0.3, row_block_size=block)
             assert _as_pairs(fused) == _as_pairs(looped)
 
-    def test_invalid_kernels_mode_rejected(self, engine_setup):
-        index, queries = engine_setup
-        with pytest.raises(ConfigurationError):
-            index.search_many(queries[:1], 0.5, kernels="warp")
-
     def test_invalid_row_block_size_rejected(self, engine_setup):
         index, queries = engine_setup
         with pytest.raises(ConfigurationError):
@@ -237,22 +262,38 @@ class TestFusedEngineIdentity:
             index.top_k_many(queries[:1], 3, row_block_size=-4)
 
 
+def _buffer_size(index, query):
+    """``|H_Q|``: the query's buffer elements."""
+    return index.query_sketch(query).buffer.mask.bit_count()
+
+
 class TestWorkloadStats:
     def test_blocked_execution_never_materialises_dense(self, engine_setup):
+        # Threshold 0 sweeps every query, so every block is visited.
         index, queries = engine_setup
-        index.search_many(queries, 0.5, row_block_size=64)
+        index.search_many(queries, 0.0, row_block_size=64)
         stats = index.last_workload_stats
         assert stats is not None
         assert stats.row_block_size == 64
+        assert stats.swept_queries == len(queries)
         assert stats.peak_block_cells == len(queries) * 64
         assert stats.peak_block_cells < stats.dense_cells
         assert stats.num_blocks == -(-stats.num_rows // 64)
 
     def test_default_block_size(self, engine_setup):
+        # search_many grows its default block while few queries are swept;
+        # top_k_many sweeps DEFAULT_ROW_BLOCK_SIZE rows per block.
         index, queries = engine_setup
         index.search_many(queries, 0.5)
         stats = index.last_workload_stats
-        assert stats.row_block_size == DEFAULT_ROW_BLOCK_SIZE
+        assert 0 < stats.swept_queries
+        assert stats.row_block_size == max(
+            DEFAULT_ROW_BLOCK_SIZE, SWEEP_BLOCK_CELLS // stats.swept_queries
+        )
+        index.search_many(queries * 30, 0.0)
+        assert index.last_workload_stats.row_block_size == DEFAULT_ROW_BLOCK_SIZE
+        index.top_k_many(queries, 3)
+        assert index.last_workload_stats.row_block_size == DEFAULT_ROW_BLOCK_SIZE
 
     def test_estimator_pruning_observed(self, engine_setup):
         # The Eq-25 estimator must only ever see pairs with a nonzero
@@ -261,6 +302,35 @@ class TestWorkloadStats:
         index.search_many(queries, 0.5)
         stats = index.last_workload_stats
         assert 0 < stats.estimator_pairs < stats.dense_cells
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.05, 0.2, 0.5, 1.0])
+    def test_only_queries_reaching_their_floor_are_swept(self, engine_setup, threshold):
+        index, queries = engine_setup
+        floors = [np.ceil(threshold * len(set(q)) * (1.0 - 1e-12)) for q in queries]
+        expected = sum(_buffer_size(index, q) >= f for q, f in zip(queries, floors))
+        index.search_many(queries, threshold, row_block_size=64)
+        stats = index.last_workload_stats
+        assert stats.swept_queries == expected
+        assert stats.num_blocks == (-(-stats.num_rows // 64) if expected else 0)
+        assert stats.peak_block_cells == expected * 64
+
+    def test_no_blocks_when_every_query_is_below_its_floor(self, zipf_records):
+        # Without a buffer |H_Q| = 0, below every positive threshold's floor.
+        index = GBKMVIndex.build(zipf_records[:200], space_fraction=0.2, buffer_size=0)
+        queries, _ids = sample_queries(zipf_records[:200], num_queries=6, seed=4)
+        hits = index.search_many(queries, 0.3, row_block_size=16)
+        stats = index.last_workload_stats
+        assert (stats.swept_queries, stats.num_blocks, stats.peak_block_cells) == (0, 0, 0)
+        assert stats.hit_pairs == sum(len(h) for h in hits) > 0
+
+    def test_single_query_calls_report_stats(self, engine_setup):
+        index, queries = engine_setup
+        index.search(queries[0], 0.5)
+        assert index.last_workload_stats.num_queries == 1
+        index.last_workload_stats = None
+        index.top_k(queries[0], 3)
+        stats = index.last_workload_stats
+        assert (stats.num_queries, stats.hit_pairs) == (1, 3)
 
 
 class TestTopKMany:
@@ -291,6 +361,12 @@ class TestTopKMany:
         index, queries = engine_setup
         with pytest.raises(ConfigurationError):
             index.top_k_many(queries[:1], 0)
+        for k in (2.5, 3.0, "3"):
+            with pytest.raises(ConfigurationError):
+                index.top_k_many(queries[:1], k)
+            with pytest.raises(ConfigurationError):
+                index.top_k(queries[0], k)
+        assert index.top_k(queries[0], np.int64(2)) == index.top_k(queries[0], 2)
 
 
 class TestKMVFusedPath:

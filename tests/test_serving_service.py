@@ -100,6 +100,18 @@ class TestQueryIdentity:
 
         assert asyncio.run(scenario()) == expected
 
+    def test_non_integer_k_is_rejected_before_batching(self, records, queries):
+        index = fresh_index(records)
+
+        async def scenario():
+            async with SimilarityService(index, close_index=False) as service:
+                for k in (0, 2.5, "3"):
+                    with pytest.raises(ConfigurationError, match="positive integer"):
+                        await service.top_k(queries[0], k)
+                return service.stats().batcher.batches
+
+        assert asyncio.run(scenario()) == 0
+
     def test_different_thresholds_do_not_fuse(self, records, queries):
         index = fresh_index(records)
 

@@ -14,6 +14,20 @@ from repro.core.store import (
 )
 
 
+def _join_counts(store, query):
+    """Per-row ``|L_Q ∩ L_X|`` through the value→record join index."""
+    matches = store.match_workload([np.asarray(query, dtype=np.float64)])
+    _queries, rows, counts = store.match_counts_block(matches)
+    dense = np.zeros(store.num_rows, dtype=np.int64)
+    dense[rows] = counts
+    return dense
+
+
+def _overlap(store, mask):
+    """Per-row ``|H_Q ∩ H_X|`` through the packed-signature kernel."""
+    return store.signature_overlap_block(store.pack_signature_masks([mask]))[0]
+
+
 def _store_with_rows(rows, signature_bits=8):
     store = ColumnarSketchStore(signature_bits=signature_bits)
     for values, mask, residual_size, record_size in rows:
@@ -95,7 +109,7 @@ class TestInvalidation:
         store.append(np.array([0.1, 0.2]), 0b1, 2, 3)
         second = store.intersection_counts(np.array([0.1]))
         assert second.tolist() == [1, 1]
-        assert store.signature_overlap(0b1).tolist() == [1, 1]
+        assert _overlap(store, 0b1).tolist() == [1, 1]
 
     def test_truncate_drops_values_above_threshold(self):
         store = _store_with_rows(
@@ -131,8 +145,8 @@ class TestIncrementalMerge:
 
         query = np.unique(np.concatenate([rows[5][0], rows[45][0], rng.random(4)]))
         assert (
-            incremental.intersection_counts_join(query).tolist()
-            == scratch.intersection_counts_join(query).tolist()
+            _join_counts(incremental, query).tolist()
+            == _join_counts(scratch, query).tolist()
         )
         assert incremental.row_max.tolist() == scratch.row_max.tolist()
         assert incremental.row_exact.tolist() == scratch.row_exact.tolist()
@@ -151,7 +165,7 @@ class TestIncrementalMerge:
                 len(set(v.tolist()) & set(query.tolist()))
                 for v, *_rest in rows[: position + 1]
             ]
-            assert store.intersection_counts_join(query).tolist() == expected
+            assert _join_counts(store, query).tolist() == expected
 
     def test_rebuild_mode_matches_incremental(self):
         rng = np.random.default_rng(31)
@@ -166,8 +180,8 @@ class TestIncrementalMerge:
                 store.append(values, mask, residual, size)
         query = np.unique(np.concatenate([rows[25][0], rng.random(5)]))
         assert (
-            merged.intersection_counts_join(query).tolist()
-            == resorted.intersection_counts_join(query).tolist()
+            _join_counts(merged, query).tolist()
+            == _join_counts(resorted, query).tolist()
         )
 
 
@@ -214,7 +228,7 @@ class TestDeletes:
         assert returned == 0
         assert store.row_values(0).tolist() == [0.7]
         assert store.num_records == 2
-        counts = store.intersection_counts_join(np.array([0.7]))
+        counts = _join_counts(store, np.array([0.7]))
         row_ids, alive = store.result_view()
         if alive is None:  # the replace may have triggered auto-compaction
             alive = np.ones(counts.size, dtype=bool)
@@ -237,7 +251,7 @@ class TestDeletes:
         assert store.live_record_ids().tolist() == list(range(1, 20, 2))
         # Searches keep answering under the surviving ids.
         query = rows[3][0]
-        counts = store.intersection_counts_join(query)
+        counts = _join_counts(store, query)
         row_ids, _alive = store.result_view()
         by_id = dict(zip(row_ids.tolist(), counts.tolist()))
         expected = {
@@ -281,8 +295,8 @@ class TestTruncateInsertRegression:
 
         for query in (extra, rows[7][0], np.unique(rng.random(8))):
             assert (
-                store.intersection_counts_join(query).tolist()
-                == fresh.intersection_counts_join(query).tolist()
+                _join_counts(store, query).tolist()
+                == _join_counts(fresh, query).tolist()
             )
         assert store.row_max.tolist() == fresh.row_max.tolist()
         assert store.row_exact.tolist() == fresh.row_exact.tolist()
@@ -309,10 +323,10 @@ class TestSaveLoad:
         assert loaded.alive_rows.tolist() == store.alive_rows.tolist()
         query = np.unique(np.concatenate([rows[2][0], rng.random(3)]))
         assert (
-            loaded.intersection_counts_join(query).tolist()
-            == store.intersection_counts_join(query).tolist()
+            _join_counts(loaded, query).tolist()
+            == _join_counts(store, query).tolist()
         )
-        assert loaded.signature_overlap(0b1011).tolist() == store.signature_overlap(0b1011).tolist()
+        assert _overlap(loaded, 0b1011).tolist() == _overlap(store, 0b1011).tolist()
 
     def test_loaded_store_stays_dynamic(self, tmp_path):
         store = _store_with_rows([([0.1, 0.4], 0, 2, 2), ([0.2], 0, 1, 1)])
@@ -345,7 +359,7 @@ class TestKernels:
             np.concatenate([rows[4][0], rows[9][0], rng.random(5)])
         )
         counts = store.intersection_counts(query)
-        joined = store.intersection_counts_join(query)
+        joined = _join_counts(store, query)
         expected = [
             len(set(values.tolist()) & set(query.tolist()))
             for values, *_rest in rows
@@ -359,38 +373,14 @@ class TestKernels:
         rows = [([], mask, 0, 1) for mask in masks]
         store = _store_with_rows(rows, signature_bits=20)
         query_mask = int(rng.integers(0, 2**20))
-        overlap = store.signature_overlap(query_mask)
+        overlap = _overlap(store, query_mask)
         expected = [(mask & query_mask).bit_count() for mask in masks]
         assert overlap.tolist() == expected
-
-    def test_signature_overlap_many_matches_single(self):
-        rng = np.random.default_rng(13)
-        width = 70  # force two words
-        masks = [int(rng.integers(0, 2**63)) | (1 << 69) for _ in range(25)]
-        rows = [([], mask, 0, 1) for mask in masks]
-        store = _store_with_rows(rows, signature_bits=width)
-        query_masks = [int(rng.integers(0, 2**63)), (1 << 69) | 0b1, 0]
-        many = store.signature_overlap_many(query_masks)
-        for row, query_mask in enumerate(query_masks):
-            assert many[row].tolist() == store.signature_overlap(query_mask).tolist()
-
-    def test_intersection_counts_many_matches_single(self):
-        rng = np.random.default_rng(17)
-        rows = []
-        for _ in range(25):
-            values = np.unique(rng.random(rng.integers(0, 9)))
-            rows.append((values, 0, values.size, values.size))
-        store = _store_with_rows(rows, signature_bits=0)
-        queries = [np.unique(rng.random(6)), rows[3][0], np.empty(0)]
-        many = store.intersection_counts_many(queries)
-        for row, query in enumerate(queries):
-            assert many[row].tolist() == store.intersection_counts(query).tolist()
 
     def test_empty_store_kernels(self):
         store = ColumnarSketchStore(signature_bits=4)
         assert store.intersection_counts(np.array([0.5])).size == 0
-        assert store.signature_overlap(0b1).size == 0
-        assert store.signature_overlap_many([0b1]).shape == (1, 0)
+        assert _overlap(store, 0b1).size == 0
 
 
 class TestThresholdForValueBudget:
