@@ -30,7 +30,9 @@ Asserted invariants:
   final incremental index answers exactly like a freshly built index
   over the full dataset — dynamic maintenance is free of drift;
 * the incremental path beats rebuild-from-scratch by at least **3×**
-  wall-clock on the stream (in practice the gap is far larger);
+  wall-clock on the stream, each path timed as its fastest of
+  ``TIMING_ROUNDS`` interleaved rounds with the cyclic garbage collector
+  paused;
 * a :meth:`GBKMVIndex.save` → :meth:`GBKMVIndex.load` round-trip of the
   final index reproduces its ``search_many`` output bitwise.
 
@@ -43,8 +45,10 @@ to record end-to-end accuracy under churn.  Results land in
 
 from __future__ import annotations
 
+import gc
 import json
 import time
+from contextlib import contextmanager
 from pathlib import Path
 
 from _util import bench_num_queries, bench_scale, write_report
@@ -58,6 +62,10 @@ THRESHOLD = 0.5
 NUM_CHECKPOINTS = 8
 INSERT_GROWTH = 0.20  # total inserted fraction of the base dataset
 NUM_ALTERNATIONS = 300  # single insert → single search cycles
+#: Each batch-stream path is timed this many times, the three paths
+#: interleaved round by round so that a slow phase of a shared host hits
+#: all of them; each path's fastest round counts.
+TIMING_ROUNDS = 3
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_dynamic_store.json"
 
@@ -106,6 +114,36 @@ def _drive_maintained(index: GBKMVIndex, batches, queries):
     return checkpoints, time.perf_counter() - start
 
 
+@contextmanager
+def _collector_paused():
+    """Keep cyclic garbage collection out of a timed stream, as ``timeit`` does.
+
+    Every checkpoint keeps thousands of result tuples alive, and the
+    collections they trigger cost time in proportion to everything else
+    the test process holds — up to half of the incremental stream after
+    the unit suite — rather than to the maintenance work being compared.
+    """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _drive_rebuilt(parameters: GBKMVIndex, base, batches, queries):
+    """Rebuild from scratch over the accumulated records, then search."""
+    checkpoints = []
+    accumulated = list(base)
+    start = time.perf_counter()
+    for batch in batches:
+        accumulated.extend(batch)
+        rebuilt = _pinned_index(parameters, accumulated)
+        checkpoints.append(_flatten(rebuilt.search_many(queries, THRESHOLD)))
+    return checkpoints, time.perf_counter() - start
+
+
 def _run(tmp_path: Path) -> dict[str, object]:
     num_records = _num_records()
     num_inserts = int(num_records * INSERT_GROWTH)
@@ -125,28 +163,34 @@ def _run(tmp_path: Path) -> dict[str, object]:
         for position in range(0, len(pool), per_checkpoint)
     ]
 
-    # Incremental merge (the segmented store's default).
-    incremental_index = _pinned_index(built, base)
-    incremental_checkpoints, incremental_seconds = _drive_maintained(
-        incremental_index, batches, queries
-    )
+    timings: dict[str, list[float]] = {"incremental": [], "resort": [], "rebuild": []}
+    for _round in range(TIMING_ROUNDS):
+        # Incremental merge (the segmented store's default).
+        incremental_index = _pinned_index(built, base)
+        with _collector_paused():
+            incremental_checkpoints, seconds = _drive_maintained(
+                incremental_index, batches, queries
+            )
+        timings["incremental"].append(seconds)
 
-    # Invalidation re-sort (the pre-segmented behaviour, kept as a mode).
-    resort_index = _pinned_index(built, base)
-    resort_index.store.incremental_merge = False
-    resort_checkpoints, resort_seconds = _drive_maintained(
-        resort_index, batches, queries
-    )
+        # Invalidation re-sort (the pre-segmented behaviour, kept as a mode).
+        resort_index = _pinned_index(built, base)
+        resort_index.store.incremental_merge = False
+        with _collector_paused():
+            resort_checkpoints, seconds = _drive_maintained(
+                resort_index, batches, queries
+            )
+        timings["resort"].append(seconds)
 
-    # Rebuild from scratch at every checkpoint.
-    rebuild_checkpoints = []
-    accumulated = list(base)
-    start = time.perf_counter()
-    for batch in batches:
-        accumulated.extend(batch)
-        rebuilt = _pinned_index(built, accumulated)
-        rebuild_checkpoints.append(_flatten(rebuilt.search_many(queries, THRESHOLD)))
-    rebuild_seconds = time.perf_counter() - start
+        # Rebuild from scratch at every checkpoint.
+        with _collector_paused():
+            rebuild_checkpoints, seconds = _drive_rebuilt(
+                built, base, batches, queries
+            )
+        timings["rebuild"].append(seconds)
+    incremental_seconds = min(timings["incremental"])
+    resort_seconds = min(timings["resort"])
+    rebuild_seconds = min(timings["rebuild"])
 
     # --- identity checks --------------------------------------------------
     assert incremental_checkpoints == resort_checkpoints, (

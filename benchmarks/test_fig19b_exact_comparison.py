@@ -24,6 +24,11 @@ from repro.evaluation import evaluate_search_method, exact_result_sets
 from repro.exact import FrequentSetSearcher, PPJoinSearcher
 
 RECORD_SIZE_GROUPS = (250, 500, 1_000, 2_000)
+#: Every method's per-query time is its fastest of this many rounds, the
+#: methods interleaved round by round so that a slow phase of a shared
+#: host hits all of them: the growth-ratio check compares sub-millisecond
+#: times, which one spiked round would otherwise decide.
+TIMING_ROUNDS = 5
 
 
 def _group_dataset(record_size: int) -> list[list[int]]:
@@ -39,14 +44,14 @@ def _group_dataset(record_size: int) -> list[list[int]]:
     )
 
 
-def _average_query_seconds(searcher, queries, threshold, rounds: int = 2) -> float:
-    """Best-of-``rounds`` average per-query time (same footing for every method)."""
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        for query in queries:
-            searcher.search(query, threshold)
-        best = min(best, (time.perf_counter() - start) / len(queries))
+def _best_query_seconds(methods: dict, num_queries: int) -> dict[str, float]:
+    """Fastest-round average per-query time of each method, rounds interleaved."""
+    best = dict.fromkeys(methods, float("inf"))
+    for _round in range(TIMING_ROUNDS):
+        for name, run_queries in methods.items():
+            start = time.perf_counter()
+            run_queries()
+            best[name] = min(best[name], (time.perf_counter() - start) / num_queries)
     return best
 
 
@@ -65,28 +70,28 @@ def _run() -> list[list[object]]:
         truth = exact_result_sets(records, queries, DEFAULT_THRESHOLD)
 
         gbkmv = GBKMVIndex.build(records, space_budget=fixed_budget)
-        # GB-KMV goes through the batched engine; the exact searchers below
-        # have no batched path and are looped per query.  Every method is
-        # timed best-of-two on the same footing — GB-KMV per-query times
-        # are sub-millisecond, so a single GC pause would otherwise
-        # distort the growth-ratio shape check.
         gbkmv_eval = evaluate_search_method(
             "GB-KMV", gbkmv, queries, truth, DEFAULT_THRESHOLD, use_batched=True
         )
-        retimed = evaluate_search_method(
-            "GB-KMV", gbkmv, queries, truth, DEFAULT_THRESHOLD, use_batched=True
+        # GB-KMV goes through the batched engine, as in the evaluation
+        # above; the exact searchers have no batched path and are looped
+        # per query.
+        ppjoin = PPJoinSearcher(records)
+        freqset = FrequentSetSearcher(records)
+        seconds = _best_query_seconds(
+            {
+                "gbkmv": lambda: gbkmv.search_many(queries, DEFAULT_THRESHOLD),
+                "ppjoin": lambda: [ppjoin.search(q, DEFAULT_THRESHOLD) for q in queries],
+                "freqset": lambda: [freqset.search(q, DEFAULT_THRESHOLD) for q in queries],
+            },
+            len(queries),
         )
-        gbkmv_seconds = min(
-            gbkmv_eval.avg_query_seconds, retimed.avg_query_seconds
-        )
-        ppjoin_seconds = _average_query_seconds(PPJoinSearcher(records), queries, DEFAULT_THRESHOLD)
-        freqset_seconds = _average_query_seconds(FrequentSetSearcher(records), queries, DEFAULT_THRESHOLD)
         rows.append(
             [
                 record_size,
-                round(gbkmv_seconds * 1e3, 3),
-                round(ppjoin_seconds * 1e3, 3),
-                round(freqset_seconds * 1e3, 3),
+                round(seconds["gbkmv"] * 1e3, 3),
+                round(seconds["ppjoin"] * 1e3, 3),
+                round(seconds["freqset"] * 1e3, 3),
                 round(gbkmv_eval.accuracy.f1, 3),
                 round(gbkmv_eval.accuracy.recall, 3),
             ]

@@ -102,7 +102,7 @@ class KMVSearchIndex(SimilarityIndex):
 
         ``method="bulk"`` (default) hashes the whole dataset in one
         vectorised pass and selects every record's ``k`` smallest values
-        with a global lexsort (:func:`repro.core.bulk.bulk_kmv_value_rows`);
+        with one global sort (:func:`repro.core.bulk.bulk_kmv_value_rows`);
         ``"per-record"`` is the historical record-at-a-time loop, kept as
         the benchmark baseline.  Both produce identical sketches.
         """

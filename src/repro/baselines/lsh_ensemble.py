@@ -33,6 +33,7 @@ from repro.baselines._signature_snapshot import (
     save_signature_snapshot,
 )
 from repro.core.index import SearchResult
+from repro.core.sorting import stable_argsort
 from repro.hashing import HashFamily
 from repro.minhash.lsh import MinHashLSH, optimal_lsh_params
 from repro.minhash.signature import MinHashSignature
@@ -158,7 +159,7 @@ class LSHEnsembleIndex:
         what lets :meth:`load` restore an index from its persisted
         signature matrix without the original records.
         """
-        order = np.argsort(np.asarray(self._record_sizes), kind="stable")
+        order = stable_argsort(np.asarray(self._record_sizes))
         partitions_of_ids = np.array_split(order, self._num_partitions)
         partitions: list[_Partition] = []
         for chunk in partitions_of_ids:

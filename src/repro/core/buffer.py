@@ -31,6 +31,11 @@ from repro._errors import ConfigurationError, SketchCompatibilityError
 BITS_PER_SIGNATURE_UNIT = 32
 
 
+def _tie_key(element: object) -> str:
+    """The ``repr`` that breaks frequency ties: ``29`` for ``np.uint8(29)`` too."""
+    return repr(element.item() if isinstance(element, np.generic) else element)
+
+
 class FrequentElementVocabulary:
     """Mapping from the top-``r`` most frequent elements to bit positions.
 
@@ -60,11 +65,14 @@ class FrequentElementVocabulary:
         """Select the ``size`` most frequent elements from a frequency table.
 
         Ties are broken deterministically by the element representation so
-        that vocabulary construction is reproducible.  Only the elements
-        that can actually place (count at least the ``size``-th largest,
-        found with one numpy partition) enter the Python comparison sort,
-        so selection stays cheap even over large element universes —
-        while producing exactly the ranking a full sort would.
+        that vocabulary construction is reproducible; a numpy scalar ranks
+        by the ``repr`` of its Python value (``np.uint8(29)`` as ``29``), so
+        a record's array dtype cannot move an element in the ranking.  Only
+        the elements that can actually place (count at least the
+        ``size``-th largest, found with one numpy partition) enter the
+        Python comparison sort, so selection stays cheap even over large
+        element universes — while producing exactly the ranking a full
+        sort would.
         """
         if size < 0:
             raise ConfigurationError("vocabulary size must be non-negative")
@@ -80,7 +88,7 @@ class FrequentElementVocabulary:
             # and are resolved by the exact comparison sort below.
             cutoff = np.partition(counts, len(items) - size)[len(items) - size]
             items = [item for item in items if item[1] >= cutoff]
-        ranked = sorted(items, key=lambda item: (-item[1], repr(item[0])))
+        ranked = sorted(items, key=lambda item: (-item[1], _tie_key(item[0])))
         return cls([element for element, _count in ranked[:size]])
 
     @classmethod

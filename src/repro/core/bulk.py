@@ -14,13 +14,13 @@ passes:
   single :func:`~repro.hashing.fingerprint_many` pass, and derives the
   distinct-element universe — fingerprints, first-occurrence
   representatives, per-occurrence inverse and frequencies.  On the
-  integer fast path one value-major lexsort yields *both* the
-  per-record dedup and the unique universe (the flat column is sorted
-  once, not once for the dedup and again inside ``np.unique``); the
-  generic path keeps ``np.unique`` over the fingerprint column.  The
-  per-unique ``counts`` column is exactly the ``Counter`` the old build
-  looped for (each record's elements are distinct, so occurrences equal
-  containing records).
+  integer fast path a stable argsort of the fingerprint column yields
+  *both* the per-record dedup and the unique universe, and one sort of
+  packed (record, unique rank) keys lays the survivors out in CSR order
+  (:func:`_flatten_integer`); the generic path keeps ``np.unique`` over
+  the fingerprint column.  The per-unique ``counts`` column is exactly
+  the ``Counter`` the old build looped for (each record's elements are
+  distinct, so occurrences equal containing records).
 * :func:`slice_flat_records` carves a per-record subset out of an
   already-flattened dataset — CSR gathers only, no re-hashing and no
   second frequency pass — which is how the sharded planner hands every
@@ -32,8 +32,15 @@ passes:
   lookup over fingerprints, signature bitmaps are packed for all records
   at once (segment-OR via ``bitwise_or.reduceat``), every unique
   fingerprint is hashed exactly once, and each record's kept residual
-  hashes are selected with one global lexsort + segment-boundary
-  reduction — no per-record ``np.unique``.
+  hashes are selected with one global (record, value) sort +
+  segment-boundary reduction — no per-record ``np.unique``.
+
+Every whole-column stable sort of construction — here, in the
+cost model's threshold and in the store's join index — runs through
+:func:`~repro.core.sorting.stable_argsort`, which packs keys and
+positions into uint64 and lets numpy's vectorised value sort order
+them; ``np.argsort(kind="stable")`` on 64-bit keys is a comparison sort
+many times slower.
 
 The pipeline is *bitwise identical* to the per-record path (same sets,
 same hashes, same dedup, same packing) under the paper's standing
@@ -53,6 +60,11 @@ FNV fold by construction) would break that identity:
   exists to remove — so it is documented as out of contract instead;
   ``method="per-record"`` remains available for data that mixes
   equal-content ``str`` and ``bytes`` elements.
+
+Records that mix ``True`` with ``1`` (or ``False`` with ``0``) are out of
+contract for the same reason: Python counts them as one element, but the
+bulk path keeps the integer while the per-record path may keep the
+``bool``, and the two ``repr`` differently in the vocabulary's tie-break.
 """
 
 from __future__ import annotations
@@ -67,6 +79,7 @@ import numpy as np
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.buffer import FrequentElementVocabulary
 from repro.core.profiling import BuildProfile
+from repro.core.sorting import stable_argsort
 from repro.core.store import BITS_PER_WORD
 from repro.hashing import UnitHash, fingerprint_many
 
@@ -109,8 +122,8 @@ class FlatRecords:
     materialises); ``fingerprints`` is parallel to ``elements``.  The
     unique-universe view (``unique_fingerprints`` sorted ascending,
     ``first_occurrence`` indices into ``elements``, per-occurrence
-    ``inverse``, per-unique ``counts``) comes from one ``np.unique`` over
-    the fingerprint column.
+    ``inverse``, per-unique ``counts``) equals ``np.unique`` over the
+    fingerprint column.
 
     ``elements`` is a Python list on the generic path and an integer
     ndarray on the dtype-aware fast path; use :meth:`element_at` /
@@ -153,10 +166,9 @@ class FlatRecords:
     def element_at(self, index: int) -> object:
         """One flat-column element as a native Python object.
 
-        The fast integer path stores ``elements`` as an ndarray whose
-        scalars ``repr`` differently from Python ints under numpy 2.x —
-        anything feeding the vocabulary's ``(-count, repr)`` tie-break
-        must come through here so both paths rank identically.
+        The fast integer path stores ``elements`` as an ndarray of numpy
+        scalars; the vocabulary :func:`select_vocabulary` builds from
+        these holds the plain Python ints the generic path would.
         """
         element = self.elements[index]
         return element.item() if isinstance(element, np.generic) else element
@@ -181,45 +193,35 @@ def _integer_occurrences(
 
     The precondition of the dtype-aware dedup fast path: every record
     must be losslessly representable as one flat bool/int ndarray.  The
-    probes mirror :func:`~repro.hashing.fingerprint_many` — mixed types,
-    strings, ints outside 64 bits, and unsized records all return
-    ``None``, sending the caller to the generic per-record ``set()``
-    path.
+    concatenated dtype decides it, mirroring
+    :func:`~repro.hashing.fingerprint_many` — mixed types, strings, ints
+    outside 64 bits, unsized or multi-dimensional records, and mixed
+    signed/unsigned 64-bit arrays (which promote to float64, not
+    losslessly) all return ``None``, sending the caller to the generic
+    per-record ``set()`` path.
     """
     num_records = len(records)
-    if all(isinstance(record, np.ndarray) for record in records):
-        for record in records:
-            if record.ndim != 1 or record.dtype.kind not in "bui":
-                return None
-        lengths = np.fromiter(
-            (record.size for record in records), dtype=np.int64, count=num_records
-        )
-        flat = np.concatenate(records) if num_records > 1 else records[0]
-        # Mixed signed/unsigned 64-bit inputs promote to float64 on
-        # concatenate — not lossless, so that combination falls back.
-        if flat.ndim != 1 or flat.dtype.kind not in "bui":
-            return None
-        return np.ascontiguousarray(flat), lengths
-    probe = next(
-        (
-            record[0]
-            for record in records
-            if isinstance(record, (list, tuple)) and len(record)
-        ),
-        None,
-    )
-    if not isinstance(probe, (bool, int, np.integer)):
-        return None
     try:
-        lengths = np.fromiter(
-            (len(record) for record in records), dtype=np.int64, count=num_records
-        )
-        flat = np.asarray(list(chain.from_iterable(records)))
+        lengths = np.fromiter(map(len, records), dtype=np.int64, count=num_records)
+        if all(isinstance(record, np.ndarray) for record in records):
+            flat = np.concatenate(records) if num_records > 1 else records[0]
+        else:
+            probe = next(
+                (
+                    record[0]
+                    for record in records
+                    if isinstance(record, (list, tuple)) and len(record)
+                ),
+                None,
+            )
+            if not isinstance(probe, (bool, int, np.integer)):
+                return None
+            flat = np.asarray(list(chain.from_iterable(records)))
     except (TypeError, ValueError, OverflowError):
         return None
     if flat.ndim != 1 or flat.dtype.kind not in "bui":
         return None
-    return flat, lengths
+    return np.ascontiguousarray(flat), lengths
 
 
 def _first_occurrences(inverse: np.ndarray, num_unique: int) -> np.ndarray:
@@ -239,30 +241,35 @@ def _first_occurrences(inverse: np.ndarray, num_unique: int) -> np.ndarray:
 def _flatten_integer(
     flat_values: np.ndarray, raw_lengths: np.ndarray, num_records: int
 ) -> FlatRecords:
-    """The sort-once integer fast path: one value-major lexsort does it all.
+    """The integer fast path: two packed-key sorts, no Python ``set``.
 
-    The historical pipeline sorted the flat column twice — a
-    (record, value) lexsort for the per-record dedup, then the
-    comparison argsort inside ``np.unique`` for the universe.  Sorting
-    the raw occurrences once in (fingerprint, record) order instead
-    yields both: segment boundaries on the fingerprint key delimit the
-    unique universe (ascending, with ``bincount`` frequencies), segment
-    boundaries on either key delimit the per-record distinct survivors,
-    and the CSR layout is recovered with one cheap O(n) radix argsort
-    over the surviving record ids (``kind="stable"`` on int64), which
-    preserves the within-record fingerprint order the lexsort
-    established.  Bitwise identical universe, counts and inverse to the
-    ``np.unique`` pipeline.
+    Integer elements fingerprint as their two's-complement uint64 bit
+    pattern — exactly element_fingerprint's ``& MAX_UINT64`` — and the
+    universe is ordered in that domain (signed order would disagree for
+    negative values).
+
+    1. A stable argsort of the raw fingerprint column
+       (:func:`~repro.core.sorting.stable_argsort`) orders occurrences by
+       (fingerprint, record), because record ids are non-decreasing in
+       flat order.  Segment boundaries on the fingerprint delimit the
+       unique universe (ascending, with ``bincount`` frequencies);
+       boundaries on either key delimit the per-record distinct
+       survivors.
+    2. Each survivor is a distinct (record, unique rank) pair.  Sorting
+       the pairs packed into one uint64 lays them out in CSR order, each
+       record's elements by ascending fingerprint, and the low bits are
+       the ``inverse`` column.  The fingerprints are a gather from the
+       universe, and the elements are their casts back to the column's
+       dtype (the uint64 cast is injective on one integer dtype).
+
+    Bitwise identical universe, counts and inverse to the ``np.unique``
+    pipeline.
     """
     if not raw_lengths.all():
         raise ConfigurationError("records must be non-empty sets of elements")
     record_of = np.repeat(np.arange(num_records, dtype=np.int64), raw_lengths)
-    # Integer elements fingerprint as their two's-complement uint64 bit
-    # pattern — exactly element_fingerprint's ``& MAX_UINT64``.  The
-    # sort must run in this domain: the universe is ordered by uint64
-    # fingerprint, and signed order would disagree for negative values.
     flat_fingerprints = flat_values.astype(np.uint64)
-    order = np.lexsort((record_of, flat_fingerprints))
+    order = stable_argsort(flat_fingerprints)
     sorted_records = record_of[order]
     sorted_fingerprints = flat_fingerprints[order]
     new_value = np.empty(sorted_fingerprints.size, dtype=bool)
@@ -271,28 +278,33 @@ def _flatten_integer(
     keep = np.empty(sorted_fingerprints.size, dtype=bool)
     keep[0] = True
     keep[1:] = new_value[1:] | (sorted_records[1:] != sorted_records[:-1])
+    unique = sorted_fingerprints[new_value]
     kept_records = sorted_records[keep]
-    kept_fingerprints = sorted_fingerprints[keep]
-    group_starts = new_value[keep]
-    group_of = np.cumsum(group_starts, dtype=np.int64) - 1
-    unique = kept_fingerprints[group_starts]
+    group_of = np.cumsum(new_value[keep], dtype=np.int64) - 1
     counts = np.bincount(group_of)
-    csr_order = np.argsort(kept_records, kind="stable")
-    fingerprints = kept_fingerprints[csr_order]
-    inverse = group_of[csr_order]
-    elements = flat_values[order[keep][csr_order]]
+    rank_bits = (unique.size - 1).bit_length()
+    if (num_records - 1).bit_length() + rank_bits > 64:
+        raise ConfigurationError(
+            "too many records and distinct elements to pack into 64-bit keys"
+        )
+    csr_keys = kept_records.view(np.uint64) << rank_bits
+    csr_keys |= group_of.view(np.uint64)
+    csr_keys.sort()
+    csr_keys &= np.uint64((1 << rank_bits) - 1)
+    inverse = csr_keys.view(np.int64)
     sizes = np.bincount(kept_records, minlength=num_records)
     offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
     )
+    fingerprints = unique[inverse]
     return FlatRecords(
         offsets=offsets,
-        elements=elements,
+        elements=fingerprints.astype(flat_values.dtype),
         fingerprints=fingerprints,
         unique_fingerprints=unique,
         first_occurrence=_first_occurrences(inverse, unique.size),
         inverse=inverse,
-        counts=counts.astype(np.int64, copy=False),
+        counts=counts,
     )
 
 
@@ -303,10 +315,11 @@ def flatten_records(
 
     Per-record deduplication uses Python ``set`` semantics (the same
     dedup the per-record path applies).  Integer datasets take a
-    dtype-aware fast path: the raw occurrences become one flat array and
-    a single value-major lexsort produces the per-record dedup *and* the
-    unique universe (:func:`_flatten_integer`) — no Python ``set`` per
-    record and no second sort inside ``np.unique``.  Every other element
+    dtype-aware fast path: the raw occurrences become one flat array, a
+    stable argsort of its fingerprints produces the per-record dedup
+    *and* the unique universe, and a packed-key sort restores CSR order
+    (:func:`_flatten_integer`) — no Python ``set`` per record and no
+    second sort inside ``np.unique``.  Every other element
     type keeps the per-record loop plus ``np.unique``; both paths
     produce the same distinct-element multiset and the same universe, so
     downstream sketches are identical.
@@ -489,7 +502,7 @@ def vocabulary_lookup(vocabulary: FrequentElementVocabulary) -> VocabularyLookup
         by fingerprint would be ambiguous).
     """
     fingerprints = fingerprint_many(list(vocabulary.elements))
-    order = np.argsort(fingerprints, kind="stable")
+    order = stable_argsort(fingerprints)
     sorted_fingerprints = fingerprints[order]
     if sorted_fingerprints.size > 1 and np.any(
         sorted_fingerprints[1:] == sorted_fingerprints[:-1]
@@ -550,7 +563,7 @@ def pack_signatures_bulk(
         return signatures
     word_keys = record_index * num_words + (bit_positions // BITS_PER_WORD)
     bits = np.uint64(1) << (bit_positions % BITS_PER_WORD).astype(np.uint64)
-    order = np.argsort(word_keys, kind="stable")
+    order = stable_argsort(word_keys)
     word_keys = word_keys[order]
     starts = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.nonzero(word_keys[1:] != word_keys[:-1])[0] + 1]
@@ -566,7 +579,8 @@ def _sorted_distinct_per_record(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-record sorted distinct values from flat (record, value) pairs.
 
-    One global lexsort orders the pairs by record then value; a
+    Two stable argsort passes — by value, then by record — order the
+    pairs by record then value, as ``np.lexsort((values, records))``; a
     segment-boundary reduction drops equal values within a record (hash
     collisions) — exactly what a per-record ``np.unique`` produces, as a
     single pass.  The one home of this selection for both the GB-KMV
@@ -575,7 +589,8 @@ def _sorted_distinct_per_record(
     offsets)``: the surviving values in (record, value) order, the
     per-record survivor counts, and their CSR offsets.
     """
-    order = np.lexsort((values, records))
+    order = stable_argsort(values)
+    order = order[stable_argsort(records[order])]
     records = records[order]
     values = values[order]
     if values.size:
@@ -607,8 +622,8 @@ def bulk_sketch(
     One membership lookup splits every occurrence into buffer vs
     residual, every *unique* fingerprint is hashed exactly once (the
     per-record path re-hashes each occurrence), and the per-record
-    sorted-distinct-kept selection is a single lexsort over the kept
-    occurrences with a segment-boundary dedup — the result is bitwise
+    sorted-distinct-kept selection is a single (record, value) sort of
+    the kept occurrences with a segment-boundary dedup — the result is bitwise
     identical to running ``_sketch_parts`` record by record.
 
     ``unique_hashes`` lets a caller that already hashed
@@ -670,7 +685,7 @@ def bulk_kmv_value_rows(
     """Each record's ``k`` smallest distinct hash values, selected in bulk.
 
     The plain-KMV counterpart of :func:`bulk_sketch`: hash every unique
-    fingerprint once, lexsort the occurrences by (record, value), dedup
+    fingerprint once, sort the occurrences by (record, value), dedup
     equal values within a record at segment boundaries, and keep the
     first ``k`` survivors of each record's segment — bitwise identical to
     ``np.unique(hash_many(record))[:k]`` per record.

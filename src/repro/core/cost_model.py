@@ -37,6 +37,7 @@ import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.buffer import BITS_PER_SIGNATURE_UNIT
+from repro.core.sorting import stable_argsort
 from repro.hashing import UnitHash
 
 #: Variance reported for infeasible configurations (buffer alone exceeds budget).
@@ -411,7 +412,7 @@ def residual_threshold_from_hashes(
         return 1.0
     if np.any(counts <= 0):
         raise ConfigurationError("element frequencies must be positive")
-    order = np.argsort(hashes, kind="stable")
+    order = stable_argsort(hashes)
     sorted_hashes = hashes[order]
     cumulative = np.cumsum(counts[order])
     within = cumulative <= residual_budget

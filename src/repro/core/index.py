@@ -578,6 +578,7 @@ class GBKMVIndex(SimilarityIndex):
         # The vocabulary's elements are exactly representatives of unique
         # fingerprints, so the residual split over uniques is a
         # fingerprint-membership mask — no mapping materialisation.
+        start = time.perf_counter()
         lookup = vocabulary_lookup(vocabulary)
         residual_unique = ~lookup.member_mask(flat.unique_fingerprints)
         unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
@@ -586,6 +587,12 @@ class GBKMVIndex(SimilarityIndex):
             counts[residual_unique].astype(np.float64),
             residual_budget,
         )
+        if profile is not None:
+            profile.record(
+                "threshold",
+                time.perf_counter() - start,
+                rows=int(np.count_nonzero(residual_unique)),
+            )
         return PlannedParameters(
             vocabulary=vocabulary,
             threshold=threshold,

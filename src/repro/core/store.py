@@ -58,6 +58,7 @@ import numpy as np
 
 from repro._errors import ConfigurationError
 from repro.core.profiling import BuildProfile
+from repro.core.sorting import stable_argsort
 
 #: Bits per packed signature word.
 BITS_PER_WORD = 64
@@ -456,7 +457,7 @@ class ColumnarSketchStore:
                     np.arange(base_rows, base_rows + num_new, dtype=np.int64),
                     lengths,
                 )
-                order = np.argsort(flat_values, kind="stable")
+                order = stable_argsort(flat_values)
                 self._sorted_values, self._sorted_rows = _merge_sorted_runs(
                     self._sorted_values,
                     self._sorted_rows,
@@ -488,7 +489,7 @@ class ColumnarSketchStore:
             # Value → record join index built from scratch: every stored
             # occurrence sorted by value, so a query's values can be
             # matched with one searchsorted each.
-            order = np.argsort(self._values, kind="stable")
+            order = stable_argsort(self._values)
             self._sorted_values = self._values[order]
             rows = np.repeat(
                 np.arange(self._record_sizes.size, dtype=np.int64),

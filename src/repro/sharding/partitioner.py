@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.core.sorting import stable_argsort
 from repro.hashing import mix64, mix64_many
 
 
@@ -49,7 +50,7 @@ def routing_tables(
     shards = shards_of(np.arange(count, dtype=np.uint64), num_shards)
     # Stable sort groups ids by shard while keeping each group in global
     # (= arrival) order; a group's offsets are then exactly local ids.
-    order = np.argsort(shards, kind="stable")
+    order = stable_argsort(shards)
     counts = np.bincount(shards, minlength=num_shards)
     starts = np.zeros(num_shards + 1, dtype=np.int64)
     np.cumsum(counts, out=starts[1:])

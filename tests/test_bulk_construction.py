@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
@@ -29,7 +32,7 @@ from repro.core import (
     vocabulary_lookup,
 )
 from repro.datasets import generate_zipf_dataset, sample_queries
-from repro.hashing import UnitHash
+from repro.hashing import UnitHash, fingerprint_many
 
 THRESHOLD = 0.5
 
@@ -165,6 +168,25 @@ class TestBuildIdentity:
             reference, space_fraction=1.0, method="per-record"
         )
         assert_same_index(bulk, expected, reference)
+
+    @pytest.mark.parametrize("narrow_dtype", [np.uint8, np.int32])
+    def test_mixed_integer_dtype_ndarray_records(self, narrow_dtype):
+        # Every other record narrowed: the per-record path ranks numpy
+        # scalars of two dtypes, the bulk path Python ints, and the
+        # vocabulary's count tie-break must rank both the same way.
+        rng = np.random.default_rng(3)
+        records = [
+            rng.integers(0, 50, size=int(rng.integers(1, 20))) for _ in range(300)
+        ]
+        records = [
+            record.astype(narrow_dtype) if position % 2 else record
+            for position, record in enumerate(records)
+        ]
+        bulk = GBKMVIndex.build(records, space_fraction=0.5, buffer_size=40)
+        reference = GBKMVIndex.build(
+            records, space_fraction=0.5, buffer_size=40, method="per-record"
+        )
+        assert_same_index(bulk, reference, records[:10])
 
     def test_generator_records_match_lists(self):
         lists = powerlaw_records(num_records=80)
@@ -357,11 +379,86 @@ class TestStoreBulkAppend:
         assert ids.size == 0
 
 
+FLAT_COLUMNS = (
+    "offsets",
+    "elements",
+    "fingerprints",
+    "unique_fingerprints",
+    "first_occurrence",
+    "inverse",
+    "counts",
+)
+
+
+@st.composite
+def integer_ndarray_datasets(draw) -> list[np.ndarray]:
+    """Integer ndarray records the fast path takes: duplicates within and
+    across records (small value pools), negatives or values >= 2**63 (the
+    full 64-bit span, two sort passes), and uint8 records mixed in."""
+    wide = draw(st.sampled_from([np.int64, np.uint64]))
+    if wide is np.int64:
+        values = st.one_of(st.integers(-3, 3), st.integers(-(2**63), 2**63 - 1))
+    else:
+        values = st.one_of(
+            st.integers(0, 3), st.integers(2**63, 2**63 + 3), st.integers(0, 2**64 - 1)
+        )
+    records = []
+    for _ in range(draw(st.integers(1, 25))):
+        narrow = draw(st.booleans())
+        records.append(
+            draw(
+                hnp.arrays(
+                    np.uint8 if narrow else wide,
+                    st.integers(1, 12),
+                    elements=st.integers(0, 255) if narrow else values,
+                )
+            )
+        )
+    return records
+
+
+def unique_pipeline(records: list[np.ndarray]) -> dict[str, np.ndarray]:
+    """The generic pipeline's columns: a Python ``set`` per record, laid
+    out by ascending fingerprint, then ``np.unique`` over the fingerprint
+    column (``return_index`` gives the first occurrences)."""
+    dtype = np.concatenate(records).dtype
+    distinct = [
+        sorted(set(record.tolist()), key=lambda value: value % 2**64)
+        for record in records
+    ]
+    elements = np.array([value for record in distinct for value in record], dtype=dtype)
+    fingerprints = fingerprint_many(elements.tolist())
+    unique, first, inverse, counts = np.unique(
+        fingerprints, return_index=True, return_inverse=True, return_counts=True
+    )
+    sizes = [len(record) for record in distinct]
+    return {
+        "offsets": np.concatenate([[0], np.cumsum(sizes)]).astype(np.int64),
+        "elements": elements,
+        "fingerprints": fingerprints,
+        "unique_fingerprints": unique,
+        "first_occurrence": first.astype(np.int64),
+        "inverse": inverse.astype(np.int64),
+        "counts": counts.astype(np.int64),
+    }
+
+
 class TestFlattenSortOnce:
-    """The integer fast path's single value-major lexsort must reproduce
-    the ``np.unique`` pipeline bit for bit — including for negative
-    elements, whose uint64 fingerprints sort differently from their
-    signed values."""
+    """The integer fast path — a stable argsort of the fingerprints plus
+    one packed (record, unique rank) sort — must reproduce the
+    ``np.unique`` pipeline bit for bit, including for negative elements,
+    whose uint64 fingerprints sort differently from their signed values,
+    and for values at or above 2**63."""
+
+    @given(integer_ndarray_datasets())
+    def test_fast_path_matches_unique_pipeline_column_for_column(self, records):
+        flat = flatten_records(records)
+        assert isinstance(flat.elements, np.ndarray)
+        expected = unique_pipeline(records)
+        for name in FLAT_COLUMNS:
+            column = getattr(flat, name)
+            assert column.dtype == expected[name].dtype, name
+            assert np.array_equal(column, expected[name]), name
 
     def _assert_unique_view_consistent(self, flat, records):
         # The universe must be exactly np.unique over the per-record
@@ -485,6 +582,7 @@ class TestBuildProfile:
             "flatten",
             "cost_model",
             "vocabulary",
+            "threshold",
             "sketch",
             "append",
         } <= set(seconds)
@@ -492,6 +590,10 @@ class TestBuildProfile:
         rows = profile.stage_rows()
         assert rows["flatten"] == len(records)
         assert rows["cost_model"] == len(records)
+        # τ is planned over the residual universe: every distinct element
+        # outside the vocabulary.
+        universe = flatten_records(records).unique_fingerprints.size
+        assert rows["threshold"] == universe - index.buffer_size
         assert rows["sketch"] == len(records)
         assert rows["append"] == len(records)
         assert index.statistics().build_profile is profile

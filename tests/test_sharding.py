@@ -591,10 +591,12 @@ def test_build_profile_rows_sum_to_dataset_size():
         profile = index.last_build_profile
         assert profile is not None
         seconds = profile.stage_seconds()
-        assert {"flatten", "vocabulary", "sketch", "append"} <= set(seconds)
+        assert {"flatten", "vocabulary", "threshold", "sketch", "append"} <= set(seconds)
         assert all(value >= 0.0 for value in seconds.values())
         rows = profile.stage_rows()
         assert rows["flatten"] == len(records)
+        # Planned once over the full dataset: one threshold recording.
+        assert [stage.name for stage in profile.stages].count("threshold") == 1
         # Per-shard sketch/append recordings sum back to the dataset.
         assert rows["sketch"] == len(records)
         assert rows["append"] == len(records)
