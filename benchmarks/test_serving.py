@@ -2,8 +2,9 @@
 
 The serving PR claims :class:`repro.api.SimilarityService` recovers the
 fused query engine's batch advantage at a live front door: concurrent
-single-request searches that land inside the micro-batch window execute
-as one ``search_many`` call, without changing a single answer.
+single-request searches that wait while the service's lane runs the
+previous batch execute together as the next ``search_many`` call,
+without changing a single answer.
 
 This benchmark pins the claim with the closed-loop load generator
 (``repro.serving.loadgen``) over a power-law corpus (40k records x
@@ -11,8 +12,8 @@ This benchmark pins the claim with the closed-loop load generator
 
 * an **unbatched baseline** service (``max_batch_size=1`` — one engine
   call per request, the per-query path), and
-* the **batched** service (64-deep window) under the same 32-client
-  closed loop,
+* the **batched** service (lane-driven, at most 64 requests per call)
+  under the same 32-client closed loop,
 
 plus a **mixed read/write** phase exercising write coalescing end to
 end.  Asserted invariants:
@@ -20,13 +21,14 @@ end.  Asserted invariants:
 * answers served through the batcher are **bitwise identical** to
   direct ``search_many``/``top_k_many`` calls on the wrapped index —
   micro-batching is a scheduling change, not an approximation;
-* the batched service actually fuses (mean batch size > 1) and the
-  mixed phase actually coalesces (fewer bulk ingests than inserts);
-* on a machine with >= 4 cores, batched closed-loop throughput beats
-  the unbatched baseline by at least **2x** (single-core runs — CI
-  smoke, this container — record the comparison without the guard: the
-  event loop and the worker lane contend for one core, so the window
-  cannot accumulate while the engine runs).
+* the batched service actually fuses — its mean batch holds at least a
+  quarter of the clients, since every request that arrives while the
+  lane is busy joins the next batch — and the mixed phase actually
+  coalesces (fewer bulk ingests than inserts);
+* on a machine with >= 2 cores, batched closed-loop throughput beats
+  the unbatched baseline by at least **2x** (single-core runs record
+  the comparison without the guard: the event loop and the worker lane
+  contend for one core, so fusion only saves per-call overhead).
 
 Results (including ``cpu_count``, so a single-core table cannot be
 mistaken for a fusion failure) land in ``BENCH_serving.json`` at the
@@ -51,10 +53,10 @@ SPACE_FRACTION = 0.10
 THRESHOLD = 0.5
 NUM_CLIENTS = 32
 REQUESTS_PER_CLIENT = 25
-#: Cores below which the 2x fusion guard is meaningless: the event loop
-#: cannot accumulate the next window while the engine runs the current
-#: batch on the same core.
-MIN_CORES_FOR_GUARD = 4
+#: Cores below which the 2x fusion guard is meaningless: on one core the
+#: event loop cannot collect the next batch while the engine runs the
+#: current one.
+MIN_CORES_FOR_GUARD = 2
 
 BENCH_JSON = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
@@ -133,7 +135,7 @@ def _run() -> dict[str, object]:
     _assert_identity(index, queries)
 
     # --- read-only closed loops: unbatched baseline vs micro-batched -------
-    unbatched_config = ServingConfig(max_batch_size=1, max_batch_delay_us=0.0)
+    unbatched_config = ServingConfig(max_batch_size=1)
     unbatched = run_load(
         SimilarityService(index, unbatched_config, close_index=False),
         queries,
@@ -143,7 +145,7 @@ def _run() -> dict[str, object]:
         top_k_fraction=0.25,
         seed=19,
     )
-    batched_config = ServingConfig(max_batch_size=64, max_batch_delay_us=200.0)
+    batched_config = ServingConfig(max_batch_size=64)
     batched_service = SimilarityService(index, batched_config, close_index=False)
     batched = run_load(
         batched_service,
@@ -155,9 +157,9 @@ def _run() -> dict[str, object]:
         seed=19,
     )
     batch_stats = batched_service.stats().batcher
-    assert batch_stats.mean_batch_size > 1.0, (
-        f"the batched closed loop never fused "
-        f"(mean batch size {batch_stats.mean_batch_size:.2f})"
+    assert batch_stats.mean_batch_size >= NUM_CLIENTS / 4, (
+        f"the batched closed loop fused too little "
+        f"(mean batch size {batch_stats.mean_batch_size:.2f} for {NUM_CLIENTS} clients)"
     )
     speedup = (
         batched.throughput_rps / unbatched.throughput_rps
@@ -189,9 +191,9 @@ def _run() -> dict[str, object]:
         else 0.0
     )
 
-    # The headline claim — >= 2x batched throughput — needs cores: on one
-    # core the loop and the engine serialize and fusion only saves
-    # per-call overhead.  The comparison is always recorded.
+    # The headline claim — >= 2x batched throughput — needs a second
+    # core: on one core the loop and the engine serialize and fusion only
+    # saves per-call overhead.  The comparison is always recorded.
     guard_applies = cpu_count >= MIN_CORES_FOR_GUARD
     if guard_applies:
         assert speedup >= 2.0, (
@@ -251,7 +253,7 @@ def test_serving_closed_loop(run_once):
             "-",
         ],
         [
-            "batched (64-deep window)",
+            "batched (lane-driven, <= 64 per call)",
             payload["batched"]["throughput_rps"],
             payload["batched"]["p50_ms"],
             payload["batched"]["p99_ms"],

@@ -5,8 +5,9 @@ queries one at a time, but a live service receives them one at a time.
 :class:`repro.api.SimilarityService` recovers the workload shape at the
 front door:
 
-1. concurrent searches landing inside a small window fuse into one
-   batched engine call (invisibly — answers are identical to direct
+1. concurrent searches fuse into batched engine calls: while the
+   engine runs one batch, the requests that arrive wait and run
+   together as the next (invisibly — answers are identical to direct
    index calls),
 2. inserts and deletes coalesce in a write buffer that flushes as bulk
    ingests under an explicit visibility policy (here read-your-writes:
@@ -47,11 +48,7 @@ async def main() -> None:
     queries, _ids = sample_queries(records, num_queries=32, seed=11)
     index = create_index("gbkmv", records, GBKMVConfig(space_fraction=0.10))
 
-    config = ServingConfig(
-        max_batch_size=64,
-        max_batch_delay_us=200.0,
-        visibility="read-your-writes",
-    )
+    config = ServingConfig(max_batch_size=64, visibility="read-your-writes")
     async with SimilarityService(index, config) as service:
         # --- a burst of concurrent searches fuses into few engine calls
         print("=== Concurrent searches, micro-batched ===")

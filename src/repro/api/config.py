@@ -142,14 +142,11 @@ class ServingConfig:
     ----------
     max_batch_size:
         Upper bound on the number of requests one micro-batch executes
-        as a single ``search_many`` / ``top_k_many`` call.  ``1``
-        disables micro-batching (every request runs alone — the
-        unbatched baseline of ``BENCH_serving.json``).
-    max_batch_delay_us:
-        The micro-batch window, in microseconds: how long the first
-        request of a batch may wait for company before the batch
-        executes anyway.  ``0`` executes every batch as soon as the
-        event loop drains the submissions already queued.
+        as a single ``search_many`` / ``top_k_many`` call.  A batch
+        fires as soon as the service's lane is free, with the requests
+        that arrived while it was busy.  ``1`` disables micro-batching
+        (every request runs alone — the unbatched baseline of
+        ``BENCH_serving.json``).
     visibility:
         Write-visibility policy of the write buffer.
         ``"read-your-writes"`` flushes buffered writes before every
@@ -168,7 +165,6 @@ class ServingConfig:
     """
 
     max_batch_size: int = 64
-    max_batch_delay_us: float = 200.0
     visibility: str = "read-your-writes"
     max_write_lag_ms: float = 50.0
     max_buffered_writes: int = 512

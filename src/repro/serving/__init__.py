@@ -9,8 +9,8 @@ package recovers the workload shape at the front door:
     explicit visibility policy, one worker lane off the event loop, and
     ``start``/``drain``/``close`` lifecycle (``async with`` supported).
 :class:`~repro.api.ServingConfig`
-    Its typed configuration (micro-batch window, batch ceiling,
-    visibility policy, staleness bound, buffer depth) — defined in
+    Its typed configuration (batch ceiling, visibility policy,
+    staleness bound, buffer depth) — defined in
     :mod:`repro.api.config` with the rest of the typed configs.
 :class:`MicroBatcher` / :class:`WriteCoalescer`
     The two mechanisms, separately reusable: per-key request fusion on

@@ -13,11 +13,15 @@ surface itself::
 Three mechanisms make the single-request API run at workload speed:
 
 - **Query micro-batching** (:class:`~repro.serving.batcher.MicroBatcher`):
-  concurrent ``search``/``top_k`` calls landing inside the configured
-  window fuse into one ``search_many``/``top_k_many`` engine call.
-  Requests fuse only when one call can answer them all — same operation,
-  same threshold (or ``k``) — and the engine guarantees batched results
-  are identical to per-query calls, so fusion is invisible to clients.
+  concurrent ``search``/``top_k`` calls fuse into one
+  ``search_many``/``top_k_many`` engine call.  Batching is driven by the
+  lane: while one batch runs, the requests that arrive wait, and the
+  next batch fires with them as soon as the lane frees.  Requests fuse
+  only when one call can answer them all — same operation, same
+  threshold (or ``k``) — and the engine guarantees batched results are
+  identical to per-query calls, so fusion is invisible to clients.  When
+  a fused call raises, its requests re-run one by one in the same lane
+  slot, so a malformed request fails only its own caller.
 - **Write coalescing** (:class:`~repro.serving.write_buffer.WriteCoalescer`):
   ``insert``/``delete``/``update`` buffer in arrival order with eagerly
   assigned ids and flush as bulk ingests, under an explicit visibility
@@ -32,8 +36,8 @@ Three mechanisms make the single-request API run at workload speed:
   keeps the event loop free to accumulate the next batch while the
   engine runs (the kernels release the GIL).
 
-Lifecycle: ``start`` is implicit in the first request; ``drain`` fires
-pending batches and flushes every buffered write; ``close`` drains, then
+Lifecycle: ``start`` is implicit in the first request; ``drain`` runs
+every pending batch and flushes every buffered write; ``close`` drains, then
 shuts down the batcher, the worker lane, and (by default) the wrapped
 index itself — releasing e.g. the sharded backend's executor pools
 deterministically.  ``async with`` does start/close automatically.
@@ -77,8 +81,6 @@ class ServiceStats:
 def _validate_config(config: ServingConfig) -> ServingConfig:
     if int(config.max_batch_size) < 1:
         raise ConfigurationError("max_batch_size must be at least 1")
-    if float(config.max_batch_delay_us) < 0.0:
-        raise ConfigurationError("max_batch_delay_us must be non-negative")
     if config.visibility not in VISIBILITY_POLICIES:
         raise ConfigurationError(
             f"unknown visibility policy {config.visibility!r}; "
@@ -127,9 +129,7 @@ class SimilarityService:
             else None
         )
         self._batcher = MicroBatcher(
-            self._execute_batch,
-            max_batch_size=self._config.max_batch_size,
-            max_delay=self._config.max_batch_delay_us / 1e6,
+            self._execute_batch, max_batch_size=self._config.max_batch_size
         )
         self._lane: ThreadPoolExecutor | None = None
         self._flush_tasks: set[asyncio.Task] = set()
@@ -168,7 +168,12 @@ class SimilarityService:
         )
 
     async def _execute_batch(self, key, items: Sequence) -> Sequence:
-        """Run one fused engine call for a batch (plus any due RYW flush)."""
+        """Run one fused engine call for a batch (plus any due RYW flush).
+
+        When a fused call of several requests raises, each request runs
+        alone in the same lane slot and a failing one gets its exception
+        as its result, which the batcher raises to that caller only.
+        """
         kind, parameter, has_sizes = key
         queries = [item[0] for item in items]
         sizes = [item[1] for item in items] if has_sizes else None
@@ -176,15 +181,28 @@ class SimilarityService:
             self._writes is not None
             and self._config.visibility == "read-your-writes"
         )
+        if kind == _SEARCH:
+            fused, alone = self._index.search_many, self._index.search
+        else:
+            fused, alone = self._index.top_k_many, self._index.top_k
+
+        def isolated(query, size):
+            try:
+                return alone(query, parameter, query_size=size)
+            except Exception as error:  # noqa: BLE001 - this caller's error
+                return error
 
         def work():
             # Flush inside the same lane slot as the queries: the pair is
             # atomic relative to every other flush and batch in the lane.
             if flush_first and self._writes.pending:
                 self._writes.flush()
-            if kind == _SEARCH:
-                return self._index.search_many(queries, parameter, query_sizes=sizes)
-            return self._index.top_k_many(queries, parameter, query_sizes=sizes)
+            try:
+                return fused(queries, parameter, query_sizes=sizes)
+            except Exception:
+                if len(items) == 1:
+                    raise
+            return [isolated(query, size) for query, size in items]
 
         return await self._in_lane(work)
 
@@ -198,8 +216,7 @@ class SimilarityService:
         """Serve one containment search; identical to ``index.search``.
 
         Requests sharing a threshold (and ``query_size`` presence) that
-        land inside the micro-batch window execute as one
-        ``search_many`` call.
+        wait for the lane together execute as one ``search_many`` call.
         """
         self._require_open()
         key = (_SEARCH, float(threshold), query_size is not None)
@@ -296,9 +313,9 @@ class SimilarityService:
     async def drain(self) -> None:
         """Deliver everything in flight: batches executed, writes flushed.
 
-        Fires every pending micro-batch immediately, waits for their
-        results to fan out, waits for background flushes, and flushes
-        whatever the write buffer still holds.  The service stays open.
+        Waits until every pending micro-batch has run and its results
+        fanned out, waits for background flushes, and flushes whatever
+        the write buffer still holds.  The service stays open.
         """
         self._require_open()
         await self._batcher.drain()

@@ -23,6 +23,7 @@ from repro.api import (
     CapabilityError,
     ConfigurationError,
     ServingConfig,
+    ShardedConfig,
     create_index,
 )
 from repro.core.index import GBKMVIndex
@@ -137,6 +138,56 @@ class TestQueryIdentity:
                 return await service.search(queries[0], THRESHOLD, query_size=500)
 
         assert asyncio.run(scenario()) == expected
+
+
+class TestFailureIsolation:
+    @pytest.mark.parametrize("backend", ["gbkmv", "sharded"])
+    def test_malformed_request_fails_only_its_own_caller(self, backend, records):
+        config = ShardedConfig(num_shards=2, max_workers=2) if backend == "sharded" else None
+        index = create_index(backend, records, config)
+
+        def direct(call):
+            try:
+                return call()
+            except Exception as error:  # noqa: BLE001 - compared below
+                return error
+
+        calls = [
+            ("search", records[0], 0.5, None),
+            ("search", [], 0.5, None),
+            ("search", records[1], 0.5, None),
+            ("search", [1.5, 2], 0.5, None),
+            ("top_k", records[2], 3, None),
+            ("top_k", [], 3, None),
+            ("search", records[3], 0.5, 20),
+            ("search", records[4], 0.5, 0),
+        ]
+        expected = [
+            direct(lambda: getattr(index, op)(query, parameter, query_size=size))
+            for op, query, parameter, size in calls
+        ]
+
+        async def scenario():
+            async with SimilarityService(index, close_index=False) as service:
+                outcomes = await asyncio.gather(
+                    *(
+                        getattr(service, op)(query, parameter, query_size=size)
+                        for op, query, parameter, size in calls
+                    ),
+                    return_exceptions=True,
+                )
+                return outcomes, service.stats()
+
+        outcomes, stats = asyncio.run(scenario())
+        index.close()
+        assert stats.batcher.largest_batch > 1  # the bad requests were fused
+        for outcome, want in zip(outcomes, expected):
+            if isinstance(want, Exception):
+                assert type(outcome) is type(want)
+                assert str(outcome) == str(want)
+            else:
+                assert outcome == want
+        assert sum(isinstance(want, Exception) for want in expected) == 4
 
 
 class TestVisibilityPolicies:
@@ -297,7 +348,6 @@ class TestLifecycle:
         index = fresh_index(records)
         for bad in (
             ServingConfig(max_batch_size=0),
-            ServingConfig(max_batch_delay_us=-1.0),
             ServingConfig(max_write_lag_ms=-5.0),
             ServingConfig(max_buffered_writes=0),
         ):
