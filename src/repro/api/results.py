@@ -15,9 +15,11 @@ from typing import NamedTuple
 class SearchResult(NamedTuple):
     """One hit of a containment similarity search.
 
-    A ``NamedTuple`` rather than a dataclass: result lists run to tens of
-    thousands of hits per workload, and tuple construction is what keeps
-    materialising them off the query-engine profile.
+    A ``NamedTuple`` rather than a dataclass: result lists run to hundreds
+    of thousands of hits per workload, and a tuple is the cheapest object
+    to build.  Building them is still one of the larger costs of a
+    workload call, so the engine builds each hit once, without a Python
+    frame per hit.
 
     Attributes
     ----------

@@ -452,7 +452,7 @@ class KMVSearchIndex(SimilarityIndex):
             raise ConfigurationError("threshold must be in [0, 1]")
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
-        if not queries:
+        if len(queries) == 0:
             return []
         estimator = self._finalize()
         block = _resolve_row_block_size(row_block_size)

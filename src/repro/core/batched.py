@@ -41,7 +41,8 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro._errors import ConfigurationError
-from repro.core.store import ColumnarSketchStore, match_sorted_run
+from repro.core.sorting import stable_argsort
+from repro.core.store import ColumnarSketchStore, match_join_index
 
 
 @runtime_checkable
@@ -311,9 +312,11 @@ class GKMVBatchEstimator:
 class KMVWorkloadMatches:
     """All (query, stored sketch value) matches of a KMV workload, row-sorted.
 
-    The plain-KMV analogue of the columnar store's
-    :class:`~repro.core.store.WorkloadMatches`, with the matched values
-    carried along (Equation 10 needs them for the ``U(k)`` cut-off).
+    Produced by :meth:`KMVBatchEstimator.match_workload`; the matched
+    values are carried along because Equation 10 needs them for the
+    ``U(k)`` cut-off, and ``rows`` is sorted ascending so
+    :meth:`KMVBatchEstimator.intersection_workload_block` can slice any
+    row range with one ``searchsorted`` pair.
     """
 
     #: Number of queries ``B`` in the workload.
@@ -411,7 +414,7 @@ class KMVBatchEstimator:
                 np.arange(self._matrix.shape[0], dtype=np.int64),
                 finite.sum(axis=1),
             )
-            order = np.argsort(values, kind="stable")
+            order = stable_argsort(values)
             self._join_values = values[order]
             self._join_rows = rows[order]
         return self._join_values, self._join_rows
@@ -423,17 +426,20 @@ class KMVBatchEstimator:
 
         One concatenated ``searchsorted`` run over the join index — no
         per-query Python iteration — returning the (query, row, value)
-        matches sorted by row so :meth:`intersection_workload_block` can
-        slice any row range.  Shares
-        :func:`~repro.core.store.match_sorted_run` with the columnar
-        store's workload kernels.
+        matches sorted by row, stably, so
+        :meth:`intersection_workload_block` can slice any row range.
+        Shares :func:`~repro.core.store.match_join_index` with the
+        columnar store's workload kernel.
         """
         join_values, join_rows = self._join_index()
-        match_qids, match_rows, match_values = match_sorted_run(
-            join_values, join_rows, queries_values
-        )
+        query_ids, positions = match_join_index(join_values, queries_values)
+        rows = join_rows[positions]
+        order = stable_argsort(rows)
         return KMVWorkloadMatches(
-            len(queries_values), match_rows, match_qids, match_values
+            len(queries_values),
+            rows[order],
+            query_ids[order],
+            join_values[positions[order]],
         )
 
     def intersection_workload_block(

@@ -48,6 +48,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -87,6 +88,7 @@ from repro.core.cost_model import (
 from repro.core.gbkmv import GBKMVSketch
 from repro.core.gkmv import GKMVSketch
 from repro.core.profiling import BuildProfile
+from repro.core.sorting import stable_argsort, stable_lexsort
 from repro.core.store import BITS_PER_WORD, ColumnarSketchStore
 from repro.hashing import UnitHash
 
@@ -179,18 +181,26 @@ def _resolve_row_block_size(row_block_size: int | None) -> int:
     return block
 
 
-def _sorted_hits(hit_ids: np.ndarray, hit_scores: np.ndarray) -> list[SearchResult]:
-    """Order hits by decreasing score, ties by increasing record id."""
-    # Decreasing score, ties by increasing record id (lexsort's last key
-    # is the primary one).  ``_make`` over zipped lists is the cheapest
-    # way to materialise tens of thousands of result tuples.
-    order = np.lexsort((hit_ids, -hit_scores))
+def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchResult]:
+    """Materialise parallel id/score columns as hits, in their order.
+
+    ``tuple.__new__`` mapped over the zipped columns builds exactly the
+    objects the named tuple's own constructors build, without running a
+    Python frame per hit.
+    """
     return list(
-        map(
-            SearchResult._make,
-            zip(hit_ids[order].tolist(), hit_scores[order].tolist()),
-        )
+        map(tuple.__new__, repeat(SearchResult), zip(ids.tolist(), scores.tolist()))
     )
+
+
+def sorted_hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchResult]:
+    """One query's hits in the library-wide result order.
+
+    Decreasing score, ties by increasing record id (a lexsort's last key
+    is the primary one).
+    """
+    order = stable_lexsort((ids, -scores))
+    return _hits(ids[order], scores[order])
 
 
 def _assemble_workload_results(
@@ -204,7 +214,7 @@ def _assemble_workload_results(
     Chunks may arrive in any order: the sort below fixes every query's
     order completely.
     """
-    if not query_chunks:
+    if not any(chunk.size for chunk in query_chunks):  # nothing to sort
         return [[] for _ in range(num_queries)]
     query_ids = np.concatenate(query_chunks)
     hit_ids = np.concatenate(id_chunks)
@@ -212,15 +222,9 @@ def _assemble_workload_results(
     # One global three-key sort realises every query's (decreasing score,
     # increasing id) order at once; record ids are unique per query, so
     # the order is total and identical to a per-query lexsort.
-    order = np.lexsort((hit_ids, -hit_scores, query_ids))
-    query_ids = query_ids[order]
-    hits = list(
-        map(
-            SearchResult._make,
-            zip(hit_ids[order].tolist(), hit_scores[order].tolist()),
-        )
-    )
-    bounds = np.searchsorted(query_ids, np.arange(num_queries + 1)).tolist()
+    order = stable_lexsort((hit_ids, -hit_scores, query_ids))
+    hits = _hits(hit_ids[order], hit_scores[order])
+    bounds = np.searchsorted(query_ids[order], np.arange(num_queries + 1)).tolist()
     return [hits[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
@@ -257,7 +261,7 @@ def results_from_scores(
         hit_rows = np.nonzero(hit_mask)[0]
     hit_scores = scores[hit_rows] / query_size
     hit_ids = hit_rows if row_ids is None else row_ids[hit_rows]
-    return _sorted_hits(hit_ids, hit_scores)
+    return sorted_hits(hit_ids, hit_scores)
 
 
 def _encode_elements(elements: Sequence[object]) -> list[list[object]]:
@@ -383,7 +387,7 @@ def _merge_top(
     all_queries = np.concatenate([np.repeat(touched, limit), queries])
     all_scores = np.concatenate([top_scores[touched].ravel(), scores])
     all_ids = np.concatenate([top_ids[touched].ravel(), ids])
-    order = np.lexsort((all_ids, -all_scores, all_queries))
+    order = stable_lexsort((all_ids, -all_scores, all_queries))
     all_queries = all_queries[order]
     rank = np.arange(all_queries.size) - np.searchsorted(all_queries, all_queries)
     keep = rank < limit
@@ -1274,14 +1278,22 @@ class GBKMVIndex(SimilarityIndex):
         Cost is ``O(matches)``: nothing touches rows the queries miss.
         """
         store = self._store
-        matches = store.match_workload(workload.values)
-        query_idx, rows, counts = store.match_counts_block(matches, 0, store.num_rows)
+        query_idx, rows, counts = store.match_workload(workload.values)
         if alive is not None and query_idx.size:
             keep = alive[rows]
             query_idx, rows, counts = query_idx[keep], rows[keep], counts[keep]
         if not query_idx.size:
             return query_idx, rows, np.empty(0, dtype=np.float64)
-        overlap = np.bitwise_count(store.signatures[rows] & query_words[query_idx])
+        # Exact popcount sums, accumulated per signature word straight into
+        # float64: a reduction over the short word axis costs several times
+        # more, and so does fancy-indexing whole rows instead of ``take``.
+        words = np.bitwise_count(
+            np.take(store.signatures, rows, axis=0)
+            & np.take(query_words, query_idx, axis=0)
+        )
+        overlap = np.zeros(rows.size, dtype=np.float64)
+        for word_overlap in words.T:
+            overlap += word_overlap
         offsets = store.offsets
         residual = residual_intersection_estimates(
             counts,
@@ -1292,7 +1304,7 @@ class GBKMVIndex(SimilarityIndex):
             workload.max_values[query_idx],
             workload.exact[query_idx],
         )
-        return query_idx, rows, overlap.sum(axis=1, dtype=np.float64) + residual
+        return query_idx, rows, overlap + residual
 
     def _engine_inputs(self, workload: _Workload):
         """What both engine calls start from: packed masks, the result view,
@@ -1429,7 +1441,7 @@ class GBKMVIndex(SimilarityIndex):
             local = np.full(num_queries, -1, dtype=np.int64)
             local[swept] = np.arange(swept.size)
             mine = local[query_idx] >= 0
-            order = np.argsort(pair_rows[mine], kind="stable")
+            order = stable_argsort(pair_rows[mine])
             skip_rows, skip_queries = pair_rows[mine][order], query_idx[mine][order]
             for row_lo in range(0, num_rows, block):
                 row_hi = min(row_lo + block, num_rows)
@@ -1520,7 +1532,7 @@ class GBKMVIndex(SimilarityIndex):
             )
         # The same float division the cell scores use, so the bound holds.
         bound = buffer_sizes.astype(np.float64) / sizes
-        order = np.argsort(pair_rows, kind="stable")
+        order = stable_argsort(pair_rows)
         skip_rows, skip_queries = pair_rows[order], query_idx[order]
         local = np.full(num_queries, -1, dtype=np.int64)
         swept = np.zeros(num_queries, dtype=bool)

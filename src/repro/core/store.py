@@ -38,8 +38,8 @@ query engine is built from: whole-dataset intersection counts against a
 sorted query array (a vectorised merge over the CSR arrays), and the
 *fused whole-workload* kernels — :meth:`match_workload` resolves every
 query's values against the value→record join index in one
-``searchsorted`` pass, :meth:`match_counts_block` turns the matches of
-any row range into sparse (query, row, count) triples, and
+``searchsorted`` pass and returns the sparse (query, row, count)
+triples of the pairs that share a value, and
 :meth:`signature_overlap_block` extracts the ``(B, block)`` popcount
 overlap matrix of a row range, so an engine can sweep a workload over
 the rows in blocks without ever materialising a dense ``(B, num_rows)``
@@ -51,7 +51,6 @@ kernel outputs back to record ids when the store has seen deletes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -99,30 +98,6 @@ def words_to_mask(words: np.ndarray) -> int:
     for word, value in enumerate(np.asarray(words, dtype=np.uint64)):
         mask |= int(value) << (word * BITS_PER_WORD)
     return mask
-
-
-@dataclass(frozen=True)
-class WorkloadMatches:
-    """All (query, stored occurrence) value matches of a workload, row-sorted.
-
-    Produced by :meth:`ColumnarSketchStore.match_workload` in one fused
-    pass over the value→record join index; consumed by
-    :meth:`ColumnarSketchStore.match_counts_block`, which slices the run
-    by physical-row range — ``rows`` is sorted ascending, so a block is
-    one ``searchsorted`` pair away.
-    """
-
-    #: Number of queries ``B`` in the workload.
-    num_queries: int
-    #: Physical row of each matched occurrence, sorted ascending.
-    rows: np.ndarray
-    #: Query id of each matched occurrence, parallel to ``rows``.
-    query_ids: np.ndarray
-
-    @property
-    def num_matches(self) -> int:
-        """Total matched occurrences across the whole workload."""
-        return int(self.rows.size)
 
 
 class ColumnarSketchStore:
@@ -892,48 +867,32 @@ class ColumnarSketchStore:
         return cumulative[self._offsets[1:]] - cumulative[self._offsets[:-1]]
 
     # ------------------------------------------------- fused workload kernels
-    def match_workload(self, queries_values: Sequence[np.ndarray]) -> WorkloadMatches:
-        """Resolve a whole workload against the value→record join index at once.
+    def match_workload(
+        self, queries_values: Sequence[np.ndarray]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sparse intersection counts of a whole workload, in one fused pass.
 
-        All queries' sorted values are concatenated into one run carrying
-        a query-id column; a single pair of ``searchsorted`` calls against
-        the join index finds every matched occurrence, and the resulting
-        (query id, physical row) pairs are returned sorted by row so
-        :meth:`match_counts_block` can slice any row range without
-        rescanning.  No per-query Python iteration anywhere.
+        Every query's sorted values are resolved against the value→record
+        join index at once (:func:`match_join_index`).  Returns
+        ``(query_ids, rows, counts)`` for exactly the (query, physical
+        row) pairs that share a stored value, sorted by query then row:
+        one ``np.unique`` over packed ``query * num_rows + row`` keys
+        groups the occurrences.  Cost is ``O(matches)``; nothing dense is
+        touched, which is what lets the engine score only value-sharing
+        pairs with the estimator.  Tombstoned rows are counted like any
+        other.
         """
         self.finalize()
         assert self._sorted_values is not None and self._sorted_rows is not None
-        match_qids, match_rows, _values = match_sorted_run(
-            self._sorted_values, self._sorted_rows, queries_values
+        query_ids, positions = match_join_index(self._sorted_values, queries_values)
+        if not query_ids.size:  # no match (common for one query): skip unique
+            return query_ids, positions, positions
+        num_rows = self.num_rows
+        pairs, counts = np.unique(
+            query_ids * num_rows + self._sorted_rows[positions], return_counts=True
         )
-        return WorkloadMatches(len(queries_values), match_rows, match_qids)
-
-    def match_counts_block(
-        self,
-        matches: WorkloadMatches,
-        row_lo: int = 0,
-        row_hi: int | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sparse intersection counts for rows ``[row_lo, row_hi)``.
-
-        Returns ``(query_ids, columns, counts)`` for exactly the (query,
-        row) pairs with a nonzero count, sorted by query then column —
-        columns are block-relative.  Cost is ``O(matches in range)``;
-        nothing dense is touched, which is what lets the engine score
-        only value-sharing pairs with the estimator.
-        """
-        if row_hi is None:
-            row_hi = self.num_rows
-        block = row_hi - row_lo
-        lo = int(np.searchsorted(matches.rows, row_lo, side="left"))
-        hi = int(np.searchsorted(matches.rows, row_hi, side="left"))
-        empty = np.empty(0, dtype=np.int64)
-        if hi == lo:
-            return empty, empty, empty
-        flat = matches.query_ids[lo:hi] * block + (matches.rows[lo:hi] - row_lo)
-        pairs, counts = np.unique(flat, return_counts=True)
-        return pairs // block, pairs % block, counts.astype(np.int64, copy=False)
+        query_ids, rows = np.divmod(pairs, num_rows)
+        return query_ids, rows, counts
 
     def pack_signature_masks(self, masks: Sequence[int]) -> np.ndarray:
         """Pack a workload's signature bitmaps into one ``(B, num_words)`` matrix."""
@@ -1017,44 +976,36 @@ def _merge_sorted_runs(
     return merged_values, merged_rows
 
 
-def match_sorted_run(
-    join_values: np.ndarray,
-    join_rows: np.ndarray,
-    queries_values: Sequence[np.ndarray],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Match every query's sorted values against a value→row join index.
+def match_join_index(
+    join_values: np.ndarray, queries_values: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every stored occurrence of every query's values in a sorted join index.
 
     The shared fused match pass: all queries' values are concatenated
-    into one run carrying a query-id column, resolved with a single pair
-    of ``searchsorted`` calls, and the matched occurrences are returned
-    as row-sorted parallel ``(query_ids, rows, values)`` arrays.  Both
-    the columnar store's workload kernels and the plain-KMV baseline's
-    fused Equation-10 path are built on this one helper, so their match
-    semantics cannot drift apart.
+    into one run carrying a query-id column and resolved with a single
+    pair of ``searchsorted`` calls against ``join_values`` (sorted
+    ascending).  Returns parallel ``(query_ids, positions)`` arrays, one
+    entry per matched occurrence, ``positions`` indexing the join index.
+    The columnar store's workload kernel and the plain-KMV baseline's
+    fused Equation-10 path are both built on it, so their match semantics
+    cannot drift apart.
     """
     empty = np.empty(0, dtype=np.int64)
-    empty_values = np.empty(0, dtype=np.float64)
     num_queries = len(queries_values)
     if num_queries == 0 or join_values.size == 0:
-        return empty, empty, empty_values
+        return empty, empty
     arrays = [np.asarray(values, dtype=np.float64) for values in queries_values]
+    all_values = np.concatenate(arrays)
+    starts = np.searchsorted(join_values, all_values, side="left")
+    stops = np.searchsorted(join_values, all_values, side="right")
+    positions = _gather_ranges(starts, stops)
+    if not positions.size:
+        return empty, empty
     lengths = np.fromiter(
         (values.size for values in arrays), dtype=np.int64, count=num_queries
     )
-    if not lengths.sum():
-        return empty, empty, empty_values
-    all_values = np.concatenate(arrays)
     value_qids = np.repeat(np.arange(num_queries, dtype=np.int64), lengths)
-    starts = np.searchsorted(join_values, all_values, side="left")
-    stops = np.searchsorted(join_values, all_values, side="right")
-    matched = _gather_ranges(starts, stops)
-    if not matched.size:
-        return empty, empty, empty_values
-    match_qids = np.repeat(value_qids, stops - starts)
-    match_rows = join_rows[matched]
-    match_values = join_values[matched]
-    order = np.argsort(match_rows, kind="stable")
-    return match_qids[order], match_rows[order], match_values[order]
+    return np.repeat(value_qids, stops - starts), positions
 
 
 def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

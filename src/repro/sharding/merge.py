@@ -22,6 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from repro.api.results import SearchResult
+from repro.core.index import sorted_hits
 
 
 def _collect(hits: Sequence[SearchResult]) -> tuple[np.ndarray, np.ndarray]:
@@ -30,17 +31,6 @@ def _collect(hits: Sequence[SearchResult]) -> tuple[np.ndarray, np.ndarray]:
     ids = np.fromiter((hit.record_id for hit in hits), dtype=np.int64, count=count)
     scores = np.fromiter((hit.score for hit in hits), dtype=np.float64, count=count)
     return ids, scores
-
-
-def _ordered_results(ids: np.ndarray, scores: np.ndarray) -> list[SearchResult]:
-    """Materialise hits in the global result order (score desc, id asc)."""
-    order = np.lexsort((ids, -scores))
-    return list(
-        map(
-            SearchResult._make,
-            zip(ids[order].tolist(), scores[order].tolist()),
-        )
-    )
 
 
 def merge_query_hits(
@@ -64,9 +54,7 @@ def merge_query_hits(
         score_chunks.append(scores)
     if not id_chunks:
         return []
-    merged = _ordered_results(
-        np.concatenate(id_chunks), np.concatenate(score_chunks)
-    )
+    merged = sorted_hits(np.concatenate(id_chunks), np.concatenate(score_chunks))
     return merged if limit is None else merged[:limit]
 
 

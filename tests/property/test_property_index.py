@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.index as index_module
 from repro.core import GBKMVIndex
+from repro.core.sorting import PACKED_SORT_MIN_SIZE, stable_lexsort
 from repro.exact import BruteForceSearcher, containment_similarity
 
 record_strategy = st.sets(st.integers(min_value=0, max_value=400), min_size=1, max_size=60)
@@ -159,3 +163,42 @@ class TestEngineMatchesScalarOracle:
                 got = index.top_k_many(queries, k, row_block_size=block)
                 assert [_pairs(hits) for hits in got] == expected
             assert [_pairs(index.top_k(query, k)) for query in queries] == expected
+
+    @pytest.mark.parametrize("buffer_size", [0, 70])
+    def test_engine_matches_oracle_above_the_packed_sort_cutoff(
+        self, buffer_size, monkeypatch
+    ):
+        # The hypothesis case above draws at most 15 records, so every sort
+        # it reaches runs on numpy; here the engine's hit and top-k sorts
+        # run on the packed passes.  Duplicated records tie across ids.
+        rng = np.random.default_rng(buffer_size)
+        distinct = [
+            set(rng.integers(0, 400, rng.integers(5, 60)).tolist()) for _ in range(300)
+        ]
+        records = [WIDE_RECORD] + distinct + [distinct[i] for i in rng.integers(0, 300, 120)]
+        index = GBKMVIndex.build(records, space_fraction=0.3, buffer_size=buffer_size)
+        for record_id in range(1, len(records), 9):
+            index.delete(record_id)
+        index.update(2, records[5])
+        index.store.compact_tombstones()
+        index.delete(3)
+        queries = [records[i] for i in (0, 5, 7, 301, 400)] + [set(range(0, 400, 3))]
+        num_live = index.num_records
+        expected = [_oracle_search(index, query, 0.0) for query in queries]
+
+        sort_sizes: list[int] = []
+
+        def recording_lexsort(keys):
+            sort_sizes.append(len(keys[0]))
+            return stable_lexsort(keys)
+
+        monkeypatch.setattr(index_module, "stable_lexsort", recording_lexsort)
+        got = index.search_many(queries, 0.0)
+        assert sort_sizes == [sum(len(hits) for hits in got)]
+        assert sort_sizes[0] >= PACKED_SORT_MIN_SIZE
+        assert [_pairs(hits) for hits in got] == expected
+        for k in (num_live, num_live // 2):
+            sort_sizes.clear()
+            got = index.top_k_many(queries, k)
+            assert sort_sizes[0] >= PACKED_SORT_MIN_SIZE  # the first _merge_top
+            assert [_pairs(hits) for hits in got] == [ranking[:k] for ranking in expected]

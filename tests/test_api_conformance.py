@@ -14,6 +14,7 @@ collection time.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import (
@@ -22,6 +23,7 @@ from repro.api import (
     ConfigurationError,
     GBKMVConfig,
     KMVConfig,
+    SearchResult,
     SimilarityIndex,
     available_backends,
     create_index,
@@ -68,6 +70,8 @@ def index(backend_id, records) -> SimilarityIndex:
 
 
 def _flatten(results):
+    """``(id, score)`` pairs per query; every hit must be exactly a SearchResult."""
+    assert all(type(hit) is SearchResult for hits in results for hit in hits)
     return [[(hit.record_id, hit.score) for hit in hits] for hits in results]
 
 
@@ -107,6 +111,20 @@ class TestSearchContract:
         batched = index.search_many(queries, THRESHOLD)
         looped = [index.search(query, THRESHOLD) for query in queries]
         assert _flatten(batched) == _flatten(looped)
+
+    def test_ndarray_workload_matches_list_workload(self, index, queries):
+        # A 2-D integer array of equal-length query prefixes is a workload
+        # like any other sequence of queries.
+        width = min(len(query) for query in queries)
+        array = np.array([list(query)[:width] for query in queries])
+        as_lists = [list(query)[:width] for query in queries]
+        assert _flatten(index.search_many(array, THRESHOLD)) == _flatten(
+            index.search_many(as_lists, THRESHOLD)
+        )
+        if index.capabilities.scored:
+            assert _flatten(index.top_k_many(array, k=3)) == _flatten(
+                index.top_k_many(as_lists, k=3)
+            )
 
     def test_exact_backends_agree_with_brute_force(self, index, records, queries):
         if not index.capabilities.exact:

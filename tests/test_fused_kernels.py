@@ -26,12 +26,11 @@ def _as_pairs(results):
     return [[(hit.record_id, hit.score) for hit in hits] for hits in results]
 
 
-def _dense_counts(store, matches, row_lo=0, row_hi=None):
-    """``match_counts_block``'s sparse counts scattered into a ``(B, block)`` matrix."""
-    row_hi = store.num_rows if row_hi is None else row_hi
-    dense = np.zeros((matches.num_queries, row_hi - row_lo), dtype=np.int64)
-    query_ids, columns, counts = store.match_counts_block(matches, row_lo, row_hi)
-    dense[query_ids, columns] = counts
+def _dense_counts(store, queries):
+    """``match_workload``'s sparse counts scattered into a ``(B, num_rows)`` matrix."""
+    dense = np.zeros((len(queries), store.num_rows), dtype=np.int64)
+    query_ids, rows, counts = store.match_workload(queries)
+    dense[query_ids, rows] = counts
     return dense
 
 
@@ -98,34 +97,21 @@ class TestStoreFusedKernels:
     @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_fused_counts_match_per_query_kernels(self, small_store, name):
         queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS[name]]
-        fused = _dense_counts(small_store, small_store.match_workload(queries))
+        fused = _dense_counts(small_store, queries)
         looped = _per_query_counts(small_store, queries)
         assert np.array_equal(fused, looped)
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 7])
-    def test_blocked_counts_match_whole_pass(self, small_store, block):
-        queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
-        matches = small_store.match_workload(queries)
-        whole = _dense_counts(small_store, matches)
-        num_rows = small_store.num_rows
-        assembled = np.concatenate(
-            [
-                _dense_counts(small_store, matches, lo, min(lo + block, num_rows))
-                for lo in range(0, num_rows, block)
-            ],
-            axis=1,
-        )
-        assert np.array_equal(assembled, whole)
-
     def test_sparse_counts_match_dense_block(self, small_store):
-        queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS["plain"]]
-        matches = small_store.match_workload(queries)
-        dense = _per_query_counts(small_store, queries)[:, 1:4]
-        query_ids, columns, counts = small_store.match_counts_block(matches, 1, 4)
-        rebuilt = np.zeros_like(dense)
-        rebuilt[query_ids, columns] = counts
-        assert np.array_equal(rebuilt, dense)
-        assert np.all(counts > 0)
+        # Exactly the nonzero cells, once each, in (query, row) order.
+        for name in ("plain", "duplicates_across_queries"):
+            queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS[name]]
+            dense = _per_query_counts(small_store, queries)
+            query_ids, rows, counts = small_store.match_workload(queries)
+            expected_queries, expected_rows = np.nonzero(dense)
+            assert query_ids.tolist() == expected_queries.tolist()
+            assert rows.tolist() == expected_rows.tolist()
+            assert counts.tolist() == dense[expected_queries, expected_rows].tolist()
+            assert np.all(counts > 0)
 
     def test_packed_masks_overlap_matches_per_query(self, small_store):
         masks = [0b101, 0b0, 0b111, 0b010]
@@ -175,9 +161,7 @@ class TestStoreFusedKernels:
 
     def test_match_workload_on_empty_store(self):
         store = _store_with_rows([], signature_bits=4)
-        matches = store.match_workload([np.array([0.25])])
-        assert matches.num_matches == 0
-        assert all(part.size == 0 for part in store.match_counts_block(matches))
+        assert all(part.size == 0 for part in store.match_workload([np.array([0.25])]))
 
 
 @pytest.fixture(scope="module")

@@ -15,9 +15,15 @@ from repro.core.store import (
 
 
 def _join_counts(store, query):
-    """Per-row ``|L_Q ∩ L_X|`` through the value→record join index."""
-    matches = store.match_workload([np.asarray(query, dtype=np.float64)])
-    _queries, rows, counts = store.match_counts_block(matches)
+    """Per-row ``|L_Q ∩ L_X|`` through the value→record join index.
+
+    Checks the fused kernel's sparse form on the way: one query, rows
+    strictly ascending, every count positive.
+    """
+    query_ids, rows, counts = store.match_workload([np.asarray(query, dtype=np.float64)])
+    assert not query_ids.any()
+    assert np.all(rows[1:] > rows[:-1])
+    assert np.all(counts > 0)
     dense = np.zeros(store.num_rows, dtype=np.int64)
     dense[rows] = counts
     return dense
