@@ -44,7 +44,7 @@ from repro.core.index import (
     _resolve_row_block_size,
     results_from_scores,
 )
-from repro.hashing import UnitHash
+from repro.hashing import UnitHash, check_record
 
 #: Version tag written into KMV snapshots.
 KMV_SNAPSHOT_VERSION = 1
@@ -250,8 +250,8 @@ class KMVSearchIndex(SimilarityIndex):
     def update(self, record_id: int, record: Iterable[object]) -> int:
         """Replace a record's content in place, keeping its record id."""
         materialized = set(record)
-        if not materialized:
-            raise ConfigurationError("cannot update a record to be empty")
+        # Checked before the delete, so a bad record leaves the old one live.
+        check_record(materialized, "cannot update a record to be empty")
         self.delete(record_id)
         return self._add_record(materialized, record_id=record_id)
 

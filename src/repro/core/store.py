@@ -15,15 +15,22 @@ of flat NumPy arrays, organised LSM-style into two segments:
     (``values[offsets[i]:offsets[i + 1]]`` is physical row ``i``), a
     packed ``uint64`` signature matrix (64 bits per word), parallel
     int64 size columns, a ``row_ids`` column mapping physical rows to
-    stable record ids, and a boolean tombstone mask.
+    stable record ids, and a boolean tombstone mask.  The columns grow
+    in place: a batch is written into spare capacity behind the rows
+    (:func:`append_rows`), and a column is reallocated, with an eighth
+    to spare, only when the batch does not fit — so a small flush
+    copies the batch, not the store.  Rows stay contiguous, so to every
+    kernel and snapshot a column is still one plain array.
 *tail segment*
-    Freshly appended rows, staged in small Python lists.  The tail is
-    absorbed into the base lazily; crucially the derived query-time
-    caches are *merged*, not rebuilt: the value→record join index (every
+    Single :meth:`append` calls, staged in small Python lists (batches
+    from :meth:`append_bulk` skip it).  The tail is absorbed into the
+    base lazily, as one ordinary batch append.  Either way the derived
+    query-time caches are *extended*, not rebuilt: the per-row maxima
+    grow like the columns, and the value→record join index (every
     stored occurrence sorted by value) is maintained with a sorted
-    two-run merge — ``O(T + S log S)`` for ``S`` staged values over
-    ``T`` stored ones — instead of the wholesale ``O(T log T)`` re-sort
-    a full invalidation would pay.
+    two-run merge — ``O(T + S log S)`` for ``S`` new values over ``T``
+    stored ones — instead of the wholesale ``O(T log T)`` re-sort a
+    full invalidation would pay.
 
 Mutations beyond ``append`` are first-class: :meth:`delete` tombstones a
 record in O(1) (searches skip it immediately), :meth:`replace` swaps a
@@ -79,6 +86,32 @@ SNAPSHOT_VERSION = 1
 #: past this generous margin instead.
 _MAX_ID_GAP = 1 << 20
 
+#: Spare capacity a reallocated column reserves behind its rows, as a
+#: shift: one eighth of the new row count.
+_SPARE_SHIFT = 3
+
+
+def append_rows(
+    buffer: np.ndarray, size: int, rows: np.ndarray | Sequence, spare: bool = True
+) -> np.ndarray:
+    """Write ``rows`` behind the first ``size`` rows of ``buffer``.
+
+    The growable-column primitive of the write path.  When the batch fits
+    in the spare capacity behind row ``size`` it is written there and
+    ``buffer`` itself is returned; otherwise a new buffer holding the
+    kept rows and the batch is returned, with an eighth spare capacity
+    (exact when ``spare`` is false).  The caller must own ``buffer``:
+    anything past row ``size`` is overwritten.
+    """
+    total = size + len(rows)
+    if total > buffer.shape[0]:
+        capacity = total + (total >> _SPARE_SHIFT if spare else 0)
+        grown = np.empty((capacity, *buffer.shape[1:]), dtype=buffer.dtype)
+        grown[:size] = buffer[:size]
+        buffer = grown
+    buffer[size:total] = rows
+    return buffer
+
 
 def mask_to_words(mask: int, num_words: int) -> np.ndarray:
     """Pack a Python-integer bitmap into little-endian uint64 words."""
@@ -111,19 +144,10 @@ class ColumnarSketchStore:
     compact_ratio:
         Tombstoned-row fraction that triggers physical compaction on the
         next :meth:`finalize`, in ``(0, 1]``.
-    incremental_merge:
-        When true (the default), absorbing the tail merges the derived
-        join index with a sorted two-run merge; when false, every absorb
-        drops the derived caches and the next :meth:`finalize` rebuilds
-        them from scratch (the pre-segmented behaviour, kept as the
-        benchmark baseline).
     """
 
     def __init__(
-        self,
-        signature_bits: int,
-        compact_ratio: float = DEFAULT_COMPACT_RATIO,
-        incremental_merge: bool = True,
+        self, signature_bits: int, compact_ratio: float = DEFAULT_COMPACT_RATIO
     ) -> None:
         if signature_bits < 0:
             raise ConfigurationError("signature_bits must be non-negative")
@@ -132,7 +156,6 @@ class ColumnarSketchStore:
         self._signature_bits = int(signature_bits)
         self._num_words = -(-self._signature_bits // BITS_PER_WORD) if signature_bits else 0
         self._compact_ratio = float(compact_ratio)
-        self.incremental_merge = bool(incremental_merge)
 
         # Base segment (sealed columns; row-major CSR + parallel arrays).
         self._values = np.empty(0, dtype=np.float64)
@@ -142,6 +165,12 @@ class ColumnarSketchStore:
         self._residual_record_sizes = np.empty(0, dtype=np.int64)
         self._row_ids = np.empty(0, dtype=np.int64)
         self._tombstones = np.zeros(0, dtype=bool)
+        # The buffers this store allocated itself, by column attribute:
+        # each column above (and the row_max/row_exact caches) is either
+        # the exact-size prefix of its buffer here, or an array the store
+        # must not write into (a snapshot's, an mmap, a compaction's
+        # result), which its next append copies.
+        self._buffers: dict[str, np.ndarray] = {}
 
         # Tail segment (staged rows not yet absorbed into the base).
         self._pending_values: list[np.ndarray] = []
@@ -168,6 +197,12 @@ class ColumnarSketchStore:
         self._row_exact: np.ndarray | None = None
         self._sorted_values: np.ndarray | None = None
         self._sorted_rows: np.ndarray | None = None
+
+    def __getstate__(self) -> dict:
+        # A pickle or copy holds each column apart from the buffer behind
+        # it, so the copy owns no buffer: its first append or delete
+        # copies the column instead of writing into a stale buffer.
+        return {**self.__dict__, "_buffers": {}}
 
     # ------------------------------------------------------------- mutation
     def append(
@@ -240,6 +275,11 @@ class ColumnarSketchStore:
         self._id_rows[record_id] = -1
         base_rows = int(self._record_sizes.size)
         if row < base_rows:
+            if "_tombstones" not in self._buffers:
+                # Flip flags only in a buffer this store owns, never in
+                # the arrays a snapshot handed to from_state.
+                self._tombstones = self._tombstones.copy()
+                self._buffers["_tombstones"] = self._tombstones
             self._tombstones[row] = True
             self._dead_values += int(self._offsets[row + 1] - self._offsets[row])
         else:
@@ -280,10 +320,10 @@ class ColumnarSketchStore:
         """Append a whole batch of rows in one staged-batch merge.
 
         The bulk counterpart of ``N`` :meth:`append` calls followed by a
-        tail absorb — one column concatenation and (when the derived
-        caches exist) one two-run join-index merge for the entire batch,
-        instead of ``N`` Python-level stagings.  The resulting store
-        state is bitwise identical to the looped path.
+        tail absorb — one write into each column's spare capacity and
+        (when the derived caches exist) one two-run join-index merge for
+        the entire batch, instead of ``N`` Python-level stagings.  The
+        resulting store state is bitwise identical to the looped path.
 
         ``values`` is the CSR-flattened residual hash column
         (sorted ascending and distinct within each row), ``value_lengths``
@@ -345,16 +385,7 @@ class ColumnarSketchStore:
         return ids
 
     def _absorb_tail(self) -> None:
-        """Merge staged tail rows into the base columns.
-
-        With ``incremental_merge`` enabled the derived caches are extended
-        in place: the per-row maxima/exactness columns grow by ``O(S)``
-        and the value→record join index is merged as two sorted runs —
-        sort the ``S`` staged values (``O(S log S)``), then one
-        ``searchsorted`` against the sealed run plus a scatter
-        (``O(T + S)``).  Without it the caches are dropped and the next
-        :meth:`finalize` re-sorts everything (``O(T log T)``).
-        """
+        """Seal the staged single appends as one batch (see :meth:`_extend_base`)."""
         if not self._pending_values:
             return
         pending_values = self._pending_values
@@ -395,55 +426,66 @@ class ColumnarSketchStore:
         row_ids: np.ndarray,
         dead: np.ndarray,
     ) -> None:
-        """Seal a batch of rows into the base columns, merging derived caches.
+        """Seal a batch of rows into the base columns, extending derived caches.
 
         The single home of base-segment growth, shared by the tail absorb
         (one small batch of staged singles) and :meth:`append_bulk` (a
-        whole construction batch): column concatenation plus — under
-        ``incremental_merge`` with warm caches — an ``O(S)`` extension of
-        the per-row maxima/exactness columns and one two-run merge of the
-        value→record join index.
+        whole construction batch): every column grows by the batch in
+        the spare capacity behind it (:meth:`_append_column`), and — when
+        the caches are warm — the per-row maxima/exactness columns grow
+        the same way and the value→record join index absorbs the batch
+        with one two-run merge.
         """
         base_rows = int(self._record_sizes.size)
         num_new = int(lengths.size)
-        self._values = np.concatenate([self._values, flat_values])
+        # The bulk build's one append into an empty store allocates
+        # exactly, so construction peaks no higher than a concatenation.
+        spare = base_rows > 0
         new_offsets = self._offsets[-1] + np.cumsum(lengths)
-        self._offsets = np.concatenate([self._offsets, new_offsets])
-        self._signatures = np.vstack([self._signatures, signature_words])
-        self._record_sizes = np.concatenate([self._record_sizes, record_sizes])
-        self._residual_record_sizes = np.concatenate(
-            [self._residual_record_sizes, residual_sizes]
-        )
-        self._row_ids = np.concatenate([self._row_ids, row_ids])
-        self._tombstones = np.concatenate([self._tombstones, dead])
+        for name, rows in (
+            ("_values", flat_values),
+            ("_offsets", new_offsets),
+            ("_signatures", signature_words),
+            ("_record_sizes", record_sizes),
+            ("_residual_record_sizes", residual_sizes),
+            ("_row_ids", row_ids),
+            ("_tombstones", dead),
+        ):
+            self._append_column(name, rows, spare)
+        if self._row_max is not None:
+            tail_max = np.zeros(num_new, dtype=np.float64)
+            nonempty = lengths > 0
+            last = self._offsets[base_rows + 1 :] - 1
+            tail_max[nonempty] = self._values[last[nonempty]]
+            self._append_column("_row_max", tail_max, spare)
+            self._append_column("_row_exact", lengths >= residual_sizes, spare)
+        if self._sorted_values is not None:
+            tail_rows = np.repeat(
+                np.arange(base_rows, base_rows + num_new, dtype=np.int64),
+                lengths,
+            )
+            order = stable_argsort(flat_values)
+            self._sorted_values, self._sorted_rows = _merge_sorted_runs(
+                self._sorted_values,
+                self._sorted_rows,
+                flat_values[order],
+                tail_rows[order],
+            )
 
-        if self.incremental_merge:
-            if self._row_max is not None:
-                tail_max = np.zeros(num_new, dtype=np.float64)
-                nonempty = lengths > 0
-                last = self._offsets[base_rows + 1 :] - 1
-                tail_max[nonempty] = self._values[last[nonempty]]
-                self._row_max = np.concatenate([self._row_max, tail_max])
-                self._row_exact = np.concatenate(
-                    [self._row_exact, lengths >= residual_sizes]
-                )
-            if self._sorted_values is not None:
-                tail_rows = np.repeat(
-                    np.arange(base_rows, base_rows + num_new, dtype=np.int64),
-                    lengths,
-                )
-                order = stable_argsort(flat_values)
-                self._sorted_values, self._sorted_rows = _merge_sorted_runs(
-                    self._sorted_values,
-                    self._sorted_rows,
-                    flat_values[order],
-                    tail_rows[order],
-                )
-        else:
-            self._row_max = None
-            self._row_exact = None
-            self._sorted_values = None
-            self._sorted_rows = None
+    def _append_column(self, name: str, rows: np.ndarray, spare: bool) -> None:
+        """Grow column attribute ``name`` by ``rows`` (see :func:`append_rows`).
+
+        A column the store did not allocate is exactly as long as its
+        rows, so a non-empty batch always moves it into a new,
+        store-owned buffer before anything is written.
+        """
+        if not len(rows):
+            return
+        column = getattr(self, name)
+        size = len(column)
+        buffer = append_rows(self._buffers.get(name, column), size, rows, spare)
+        self._buffers[name] = buffer
+        setattr(self, name, buffer[: size + len(rows)])
 
     def finalize(self) -> None:
         """Absorb the tail, compact if due, and ensure the derived caches exist."""
@@ -503,6 +545,7 @@ class ColumnarSketchStore:
             self._row_max = self._row_max[alive]
             self._row_exact = self._row_exact[alive]
         self._tombstones = np.zeros(int(alive.sum()), dtype=bool)
+        self._buffers.clear()  # every column above was replaced
         self._num_dead = 0
         self._dead_values = 0
         # Vectorised id→row rebuild: every surviving row is live, so one
@@ -536,6 +579,8 @@ class ColumnarSketchStore:
             self._sorted_rows = self._sorted_rows[:cut].copy()
         self._row_max = None
         self._row_exact = None
+        for name in ("_values", "_offsets", "_row_max", "_row_exact"):
+            self._buffers.pop(name, None)
         self._finalized = False
 
     def threshold_for_value_budget(self, budget: float) -> float:
@@ -601,7 +646,6 @@ class ColumnarSketchStore:
         cls,
         arrays: Mapping[str, np.ndarray],
         compact_ratio: float = DEFAULT_COMPACT_RATIO,
-        incremental_merge: bool = True,
     ) -> "ColumnarSketchStore":
         """Rebuild a store from :meth:`state_arrays` output."""
         meta = np.asarray(arrays["store_meta"], dtype=np.int64)
@@ -611,11 +655,7 @@ class ColumnarSketchStore:
                 f"unsupported store snapshot version {version} "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
-        store = cls(
-            signature_bits=signature_bits,
-            compact_ratio=compact_ratio,
-            incremental_merge=incremental_merge,
-        )
+        store = cls(signature_bits=signature_bits, compact_ratio=compact_ratio)
         store._values = np.asarray(arrays["values"], dtype=np.float64)
         store._offsets = np.asarray(arrays["offsets"], dtype=np.int64)
         num_rows = int(np.asarray(arrays["record_sizes"]).size)

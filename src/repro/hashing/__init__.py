@@ -22,6 +22,7 @@ Public API
 from repro.hashing.hash_functions import (
     MAX_UINT64,
     UnitHash,
+    check_record,
     element_fingerprint,
     fingerprint_many,
     hash_to_unit,
@@ -34,6 +35,7 @@ __all__ = [
     "MAX_UINT64",
     "UnitHash",
     "HashFamily",
+    "check_record",
     "element_fingerprint",
     "fingerprint_many",
     "hash_to_unit",

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 import numpy as np
 
@@ -74,6 +74,21 @@ def mix64_many(values: np.ndarray) -> np.ndarray:
     return z
 
 
+#: The element types a record may hold (``bool`` is an ``int``).
+_ELEMENT_TYPES = (int, np.integer, str, bytes)
+
+#: ndarray dtype kinds whose elements are the element types above (bool,
+#: unsigned, signed, bytes, str).
+_ELEMENT_DTYPE_KINDS = "buiSU"
+
+
+def _unsupported_element(element_type: type) -> ConfigurationError:
+    return ConfigurationError(
+        f"unsupported element type {element_type.__name__!r}; "
+        "elements must be int, str or bytes"
+    )
+
+
 def element_fingerprint(element: object) -> int:
     """Map an element to a stable 64-bit fingerprint.
 
@@ -96,16 +111,47 @@ def element_fingerprint(element: object) -> int:
     elif isinstance(element, bytes):
         data = element
     else:
-        raise ConfigurationError(
-            f"unsupported element type {type(element).__name__!r}; "
-            "elements must be int, str or bytes"
-        )
+        raise _unsupported_element(type(element))
     # FNV-1a over the byte string, 64-bit.
     acc = 0xCBF2_9CE4_8422_2325
     for byte in data:
         acc ^= byte
         acc = (acc * 0x1000_0000_01B3) & MAX_UINT64
     return acc
+
+
+def check_record(
+    record: Collection[object], empty_message: str = "cannot insert an empty record"
+) -> None:
+    """Raise what ingesting ``record`` would raise, before anything is ingested.
+
+    Ingest deduplicates a record with ``set`` and then fingerprints its
+    elements (:func:`element_fingerprint`).  This checks the same contract
+    by type alone, hashing only elements of an unsupported type, so a
+    writer can validate a whole batch before any of it lands.  A 1-D
+    ndarray is judged by its dtype.
+
+    Raises
+    ------
+    TypeError
+        If an element is unhashable (the error ``set`` raises).
+    ConfigurationError
+        If the record is empty (with ``empty_message``) or holds an
+        element of an unsupported type.
+    """
+    if len(record) == 0:
+        raise ConfigurationError(empty_message)
+    if isinstance(record, np.ndarray) and record.ndim == 1 and record.dtype.kind != "O":
+        if record.dtype.kind not in _ELEMENT_DTYPE_KINDS:
+            raise _unsupported_element(record.dtype.type)
+        return
+    unsupported = None
+    for element in record:
+        if not isinstance(element, _ELEMENT_TYPES):
+            hash(element)  # an unhashable one raises the TypeError set() would
+            unsupported = unsupported or type(element)
+    if unsupported is not None:
+        raise _unsupported_element(unsupported)
 
 
 def hash_to_unit(value: int) -> float:

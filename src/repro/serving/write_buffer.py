@@ -39,6 +39,7 @@ import numpy as np
 
 from repro._errors import ConfigurationError
 from repro.api.interface import SimilarityIndex
+from repro.hashing import check_record
 
 _REUSABLE_RECORD_TYPES = (list, tuple, set, frozenset, np.ndarray)
 
@@ -47,16 +48,19 @@ _DELETE = "delete"
 _UPDATE = "update"
 
 
-def _materialize_record(record: Iterable[object]):
-    """The record as a re-iterable container, validated non-empty."""
+def _materialize_record(
+    record: Iterable[object], empty_message: str = "cannot insert an empty record"
+):
+    """The record as a re-iterable container, checked as ingest would check it.
+
+    A record the index would reject raises here, to its own caller, before
+    it is given an id: buffered, it would fail its whole flush and leave
+    the promised ids out of step with the index's.
+    """
     materialized = (
         record if isinstance(record, _REUSABLE_RECORD_TYPES) else list(record)
     )
-    if isinstance(materialized, np.ndarray):
-        if materialized.size == 0:
-            raise ConfigurationError("cannot buffer an empty record")
-    elif not materialized:
-        raise ConfigurationError("cannot buffer an empty record")
+    check_record(materialized, empty_message)
     return materialized
 
 
@@ -148,6 +152,8 @@ class WriteCoalescer:
         The id is final the moment this returns (sequential assignment,
         single writer): callers may delete or update it before the
         record ever reaches the index — the operations replay in order.
+        A record the index would reject raises the index's own error
+        here and takes no id.
         """
         materialized = _materialize_record(record)
         with self._lock:
@@ -173,7 +179,7 @@ class WriteCoalescer:
 
     def update(self, record_id: int, record: Iterable[object]) -> int:
         """Buffer an in-place replace; returns the (unchanged) record id."""
-        materialized = _materialize_record(record)
+        materialized = _materialize_record(record, "cannot update a record to be empty")
         record_id = int(record_id)
         with self._lock:
             if record_id < 0 or record_id >= self._next_id:

@@ -5,8 +5,10 @@ A thin but complete :class:`~repro.api.interface.SimilarityIndex` over
 
 - **Routing.**  A record's shard is ``mix64(global_id) % S``; its local
   id inside the shard is its arrival rank there.  Both directions of the
-  mapping are O(1) at runtime and reconstructable from nothing but
-  ``next_global_id`` at load time.
+  mapping are int64 columns with spare capacity: an insert writes its
+  ids behind them, and the merge reads each shard's local→global column
+  as a prefix view, so neither copies the tables.  Both are
+  reconstructable from nothing but ``next_global_id`` at load time.
 - **Search.**  Every query fans out to all shards on a thread pool (the
   sketch kernels release the GIL) and the per-shard hits merge back into
   the exact global result order; for the native sketch backends the
@@ -31,6 +33,8 @@ import numpy as np
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.api.config import IndexConfig, ShardedConfig
 from repro.core.profiling import BuildProfile
+from repro.core.store import append_rows
+from repro.hashing import check_record
 from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import get_backend
 from repro.api.results import SearchResult
@@ -80,15 +84,14 @@ class ShardedIndex(SimilarityIndex):
         self.last_build_profile: BuildProfile | None = None
         # Bidirectional id routing, reconstructed from the id count: the
         # mapping is a pure function of (next_global_id, num_shards).
-        local_ids, shard_globals = routing_tables(
-            int(next_global_id), self._num_shards
-        )
+        # Inserts grow both tables with append_rows; the live entries are
+        # _local_ids[:_next_global_id] and, per shard s,
+        # _shard_globals[s][:_shard_sizes[s]].
         self._next_global_id = int(next_global_id)
-        self._local_ids: list[int] = local_ids.tolist()
-        self._shard_globals: list[list[int]] = [
-            globals_.tolist() for globals_ in shard_globals
-        ]
-        self._globals_cache: list[np.ndarray | None] = [None] * self._num_shards
+        self._local_ids, self._shard_globals = routing_tables(
+            self._next_global_id, self._num_shards
+        )
+        self._shard_sizes = [int(globals_.size) for globals_ in self._shard_globals]
         # What this index really supports is what its inner backend
         # supports; batched is always true (the fan-out *is* the engine).
         inner_caps = self._shards[0].capabilities
@@ -250,14 +253,10 @@ class ShardedIndex(SimilarityIndex):
         # Validate the whole batch before touching any shard, so a bad
         # record cannot leave some shards mutated and others not.
         for record in materialized:
-            if isinstance(record, np.ndarray):
-                if record.size == 0:
-                    raise ConfigurationError("cannot insert an empty record")
-            elif not record:
-                raise ConfigurationError("cannot insert an empty record")
+            check_record(record)
         count = len(materialized)
         global_ids = np.arange(
-            self._next_global_id, self._next_global_id + count, dtype=np.uint64
+            self._next_global_id, self._next_global_id + count, dtype=np.int64
         )
         assignments = shards_of(global_ids, self._num_shards)
         groups = [
@@ -274,7 +273,7 @@ class ShardedIndex(SimilarityIndex):
 
         per_shard_locals = self._executor.map(ingest, range(self._num_shards))
         for shard, locals_ in enumerate(per_shard_locals):
-            expected = len(self._shard_globals[shard])
+            expected = self._shard_sizes[shard]
             for offset, local in enumerate(locals_):
                 self._check_sequential(shard, int(local), expected + offset)
         # Commit the routing tables only after every shard succeeded.
@@ -282,14 +281,15 @@ class ShardedIndex(SimilarityIndex):
         for shard, locals_ in enumerate(per_shard_locals):
             positions = groups[shard]
             if positions.size:
-                local_of[positions] = np.asarray(locals_, dtype=np.int64)
-                self._shard_globals[shard].extend(
-                    global_ids[positions].astype(np.int64).tolist()
+                local_of[positions] = locals_
+                size = self._shard_sizes[shard]
+                self._shard_globals[shard] = append_rows(
+                    self._shard_globals[shard], size, global_ids[positions]
                 )
-                self._globals_cache[shard] = None
-        self._local_ids.extend(local_of.tolist())
+                self._shard_sizes[shard] = size + positions.size
+        self._local_ids = append_rows(self._local_ids, self._next_global_id, local_of)
         self._next_global_id += count
-        return global_ids.astype(np.int64).tolist()
+        return global_ids.tolist()
 
     def delete(self, record_id: int) -> None:
         """Route the delete to the record's shard."""
@@ -311,8 +311,9 @@ class ShardedIndex(SimilarityIndex):
             raise self._unsupported("update", "is not dynamic")
         global_id, shard, local = self._route(record_id)
         materialized = _materialize_record(record)
-        if len(materialized) == 0:
-            raise ConfigurationError("cannot update a record to be empty")
+        # Checked here, so the re-raise below cannot mask a bad record as
+        # an unknown id.
+        check_record(materialized, "cannot update a record to be empty")
         try:
             self._shards[shard].update(local, materialized)
         except ConfigurationError as error:
@@ -329,7 +330,7 @@ class ShardedIndex(SimilarityIndex):
         return (
             global_id,
             shard_of(global_id, self._num_shards),
-            self._local_ids[global_id],
+            int(self._local_ids[global_id]),
         )
 
     def _check_sequential(self, shard: int, local: int, expected: int) -> None:
@@ -341,10 +342,13 @@ class ShardedIndex(SimilarityIndex):
             )
 
     def _commit_insert(self, shard: int, global_id: int, local: int) -> None:
-        self._check_sequential(shard, local, len(self._shard_globals[shard]))
-        self._local_ids.append(local)
-        self._shard_globals[shard].append(global_id)
-        self._globals_cache[shard] = None
+        size = self._shard_sizes[shard]
+        self._check_sequential(shard, local, size)
+        self._local_ids = append_rows(self._local_ids, global_id, [local])
+        self._shard_globals[shard] = append_rows(
+            self._shard_globals[shard], size, [global_id]
+        )
+        self._shard_sizes[shard] = size + 1
         self._next_global_id = global_id + 1
 
     # ------------------------------------------------------------ persistence
@@ -426,13 +430,11 @@ class ShardedIndex(SimilarityIndex):
 
     # ------------------------------------------------------------------ misc
     def _globals(self) -> list[np.ndarray]:
-        """Per-shard local→global id arrays (cached between mutations)."""
-        for shard in range(self._num_shards):
-            if self._globals_cache[shard] is None:
-                self._globals_cache[shard] = np.asarray(
-                    self._shard_globals[shard], dtype=np.int64
-                )
-        return self._globals_cache
+        """Per-shard local→global id arrays: prefix views, no copy."""
+        return [
+            globals_[:size]
+            for globals_, size in zip(self._shard_globals, self._shard_sizes)
+        ]
 
     def close(self) -> None:
         """Release the fan-out pool and every shard's resources, deterministically.

@@ -153,6 +153,12 @@ class TestDynamicAPI:
         with pytest.raises(ConfigurationError):
             index.update(0, [])
 
+    def test_rejected_update_keeps_the_old_record(self, index, zipf_records):
+        with pytest.raises(ConfigurationError, match="unsupported element type"):
+            index.update(10, [1.5, 2.5])
+        assert index.num_records == 60
+        assert 10 in {hit.record_id for hit in index.search(zipf_records[10], 0.0)}
+
     def test_surviving_scores_unchanged_by_delete(self, index, zipf_records):
         query = zipf_records[20]
         before = {hit.record_id: hit.score for hit in index.search(query, 0.0)}

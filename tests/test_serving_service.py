@@ -190,6 +190,47 @@ class TestFailureIsolation:
         assert sum(isinstance(want, Exception) for want in expected) == 4
 
 
+    @pytest.mark.parametrize("backend", ["gbkmv", "sharded"])
+    def test_rejected_insert_fails_only_its_own_caller(self, backend, records):
+        config = ShardedConfig(num_shards=2, max_workers=2) if backend == "sharded" else None
+        index = create_index(backend, records, config)
+        bad_records = ([[1, 2], [3]], [1.5, 2.5], [None, 1])
+        expected = []
+        for bad in bad_records:
+            try:
+                index.insert(bad)
+            except Exception as error:  # noqa: BLE001 - compared below
+                expected.append(error)
+        assert len(expected) == len(bad_records)
+        handled = []
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: handled.append(context)
+            )
+            async with SimilarityService(index, close_index=False) as service:
+                first = await service.insert(records[0])
+                outcomes = []
+                for bad in bad_records:
+                    try:
+                        outcomes.append(await service.insert(bad))
+                    except Exception as error:  # noqa: BLE001 - compared below
+                        outcomes.append(error)
+                last = await service.insert(records[1])
+                hits = await service.search(records[1], 0.0)  # flushes first
+                return first, outcomes, last, hits
+
+        first, outcomes, last, hits = asyncio.run(scenario())
+        for outcome, want in zip(outcomes, expected):
+            assert type(outcome) is type(want)
+            assert str(outcome) == str(want)
+        assert last == first + 1
+        assert index.next_record_id == last + 1
+        assert last in {hit.record_id for hit in hits}
+        assert handled == []
+        index.close()
+
+
 class TestVisibilityPolicies:
     def test_read_your_writes_sees_the_insert_immediately(self, records):
         index = fresh_index(records)

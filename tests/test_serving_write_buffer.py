@@ -11,6 +11,7 @@ middle of a flush — and the eager-id single-writer validation.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import CapabilityError, ConfigurationError, create_index
@@ -179,6 +180,17 @@ class TestFailureRecovery:
         buffer = WriteCoalescer(index)
         with pytest.raises(ConfigurationError, match="empty record"):
             buffer.insert([])
+        # So is any record ingest would reject: it must not take an id.
+        with pytest.raises(TypeError, match="unhashable"):
+            buffer.insert([[1, 2], [3]])
+        with pytest.raises(ConfigurationError, match="unsupported element type"):
+            buffer.insert([1.5, 2.5])
+        with pytest.raises(ConfigurationError, match="unsupported element type"):
+            buffer.insert(np.array([1.5, 2.5]))
+        with pytest.raises(ConfigurationError, match="unsupported element type"):
+            buffer.update(0, [None, 1])
+        assert buffer.pending == 0
+        assert buffer.next_record_id == index.next_record_id
 
 
 class TestConstruction:

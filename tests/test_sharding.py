@@ -182,6 +182,9 @@ def test_unknown_ids_raise_under_the_global_id():
     sharded.delete(7)
     with pytest.raises(ConfigurationError, match="unknown or deleted record id 7"):
         sharded.delete(7)
+    # A bad record on a live id is reported as what it is, not as an unknown id.
+    with pytest.raises(ConfigurationError, match="unsupported element type"):
+        sharded.update(8, [1.5, 2.5])
 
 
 def test_insert_many_validates_before_mutating_any_shard():
@@ -191,6 +194,59 @@ def test_insert_many_validates_before_mutating_any_shard():
     assert sharded.num_records == 40
     # The global id sequence is untouched by the failed batch.
     assert sharded.insert([9, 9, 7]) == 40
+
+    # A record ingest rejects on a higher shard than a good record:
+    # ShardExecutor.map collects in shard order, so unless the batch is
+    # checked first the good shard has ingested by the time the error
+    # surfaces, and its orphan row wedges every later insert.
+    sharded = create_index("sharded", _dataset(400), ShardedConfig(num_shards=2))
+    assert (shard_of(400, 2), shard_of(401, 2)) == (1, 0)
+    good = [5, 6, 7]
+    for bad, error in (
+        ([[1, 2], [3]], TypeError),
+        ([1.5, 2.5], ConfigurationError),
+        ([None, 1], ConfigurationError),
+        (np.array([1.5, 2.5]), ConfigurationError),
+    ):
+        with pytest.raises(error):
+            sharded.insert_many([bad, good])
+    assert [shard.num_records for shard in sharded.shards] == [
+        len(globals_) for globals_ in routing_tables(400, 2)[1]
+    ]
+    assert sharded.insert_many([good, [8, 9]]) == [400, 401]
+    assert sharded.insert([10, 11]) == 402
+    assert len(sharded.top_k(good, 3)) == 3
+    assert 400 in {hit.record_id for hit in sharded.search(good, 0.0)}
+
+
+def test_routing_tables_grow_in_place():
+    sharded = create_index("sharded", _dataset(200), ShardedConfig(num_shards=2))
+    sharded.insert_many(_dataset(40, seed=5))  # the tables now have spare room
+    before = sharded._globals()
+    sharded.insert_many(_dataset(4, seed=6))
+    after = sharded._globals()
+    for old, new in zip(before, after):
+        assert np.shares_memory(old, new)
+    assert sum(map(len, after)) == sum(map(len, before)) + 4
+
+
+def test_routing_tables_track_every_mutation():
+    sharded = create_index("sharded", _dataset(120), ShardedConfig(num_shards=3))
+    extra = _dataset(80, seed=9)
+    sharded.insert(extra[0])
+    sharded.insert_many(extra[1:30])
+    sharded.delete(5)
+    sharded.update(7, extra[30])
+    sharded.insert(extra[31])
+    sharded.delete(130)
+    sharded.insert_many(extra[32:80])
+    sharded.update(140, extra[0])
+    local_ids, shard_globals = routing_tables(sharded.next_record_id, 3)
+    assert sharded.next_record_id == 199
+    assert [sharded._route(g)[2] for g in range(199)] == local_ids.tolist()
+    for maintained, rebuilt in zip(sharded._globals(), shard_globals):
+        assert maintained.dtype == np.int64
+        assert maintained.tolist() == rebuilt.tolist()
 
 
 def test_empty_and_single_record_shards():

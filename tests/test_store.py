@@ -176,14 +176,11 @@ class TestIncrementalMerge:
     def test_rebuild_mode_matches_incremental(self):
         rng = np.random.default_rng(31)
         rows = _random_rows(rng, 30)
-        merged = ColumnarSketchStore(signature_bits=0, incremental_merge=True)
-        resorted = ColumnarSketchStore(signature_bits=0, incremental_merge=False)
-        for store in (merged, resorted):
-            for values, mask, residual, size in rows[:20]:
-                store.append(values, mask, residual, size)
-            store.finalize()
-            for values, mask, residual, size in rows[20:]:
-                store.append(values, mask, residual, size)
+        merged = _store_with_rows(rows[:20], signature_bits=0)
+        merged.finalize()  # seal 20 rows, then merge 10 more into the caches
+        for values, mask, residual, size in rows[20:]:
+            merged.append(values, mask, residual, size)
+        resorted = _store_with_rows(rows, signature_bits=0)  # one from-scratch build
         query = np.unique(np.concatenate([rows[25][0], rng.random(5)]))
         assert (
             _join_counts(merged, query).tolist()
