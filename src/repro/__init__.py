@@ -13,7 +13,7 @@ The package is organised as:
     The paper's contribution: KMV, G-KMV and GB-KMV sketches, the buffer
     cost model and the :class:`~repro.core.GBKMVIndex` search index.
 ``repro.minhash``
-    MinHash signatures, banded LSH and LSH Forest — the substrate the
+    MinHash signatures and banded LSH — the substrate the MinHash
     baselines are built on.
 ``repro.baselines``
     LSH Ensemble (the state-of-the-art baseline), plain KMV / G-KMV

@@ -5,20 +5,20 @@ hash values — the equal allocation Theorem 1 shows to be optimal for
 plain KMV under a space budget ``b`` — and answers containment search
 with the Equation-10 intersection estimator.  The per-record values live
 in a dense ``(num_records, k)`` float64 matrix (rows padded with
-``+inf``), so one query is scored against every record with a single
-call into the batched estimator layer
-(:func:`repro.core.batched.kmv_intersection_estimates`), and a whole
-workload with :meth:`KMVSearchIndex.search_many`.
+``+inf``) inside a :class:`repro.core.batched.KMVBatchEstimator`, whose
+fused workload kernels answer :meth:`KMVSearchIndex.search_many`;
+:meth:`KMVSearchIndex.search` is a one-query call of it.
 
 ``GKMVSearchIndex`` keeps every hash value below a single global
 threshold ``τ`` chosen so the sketches fill the budget, and estimates
-with the enlarged-``k`` estimator of Equations 24–26.  It is exactly a
-GB-KMV index with buffer size zero, and is implemented as such —
-segmented columnar store, batched engine and all.
+with the enlarged-``k`` estimator of Equations 24–26.  That is GB-KMV
+(Equation 27) with an empty buffer, so it is a
+:class:`~repro.core.GBKMVIndex` whose builds pin ``buffer_size=0`` —
+segmented columnar store, query engine and all.
 
 Both expose the same dynamic surface as :class:`~repro.core.GBKMVIndex`
 — ``insert`` / ``delete`` / ``update`` under stable record ids, and
-``save`` / ``load`` npz snapshots — so the evaluation harness can drive
+``save`` / ``load`` snapshots — so the evaluation harness can drive
 every method through an identical mixed insert/delete/query stream.
 
 Both appear as the non-buffered points of Figure 6.
@@ -42,7 +42,6 @@ from repro.core.index import (
     SearchResult,
     _assemble_workload_results,
     _resolve_row_block_size,
-    results_from_scores,
 )
 from repro.hashing import UnitHash, check_record
 
@@ -84,7 +83,6 @@ class KMVSearchIndex(SimilarityIndex):
         self._num_dead = 0
         self._estimator: KMVBatchEstimator | None = None
         self._live_ids: np.ndarray | None = None
-        self._live_positions: dict[int, int] = {}
         self._stored_values = 0
 
     # ------------------------------------------------------------------ build
@@ -388,9 +386,6 @@ class KMVSearchIndex(SimilarityIndex):
             )
             identity = bool(np.array_equal(ids, np.arange(ids.size, dtype=np.int64)))
             self._live_ids = None if identity else ids
-            self._live_positions = {
-                int(record_id): row for row, record_id in enumerate(ids.tolist())
-            }
         return self._estimator
 
     def _query_values(self, query_elements: set) -> tuple[np.ndarray, int]:
@@ -398,40 +393,18 @@ class KMVSearchIndex(SimilarityIndex):
         query_hashes = np.unique(self._hasher.hash_many(list(query_elements)))
         return query_hashes[: self._k], int(query_hashes.size)
 
-    def estimate_intersection(
-        self, query_values: np.ndarray, query_exact: bool, record_id: int
-    ) -> float:
-        """Equation-10 intersection estimate between a query sketch and a record.
-
-        ``query_exact`` says whether ``query_values`` is the query's complete
-        hash set (the query had at most ``k`` distinct elements); when both
-        sides are exact the overlap is counted exactly instead of estimated.
-        """
-        estimator = self._finalize()
-        row = self._live_positions.get(int(record_id))
-        if row is None:
-            raise ConfigurationError(f"unknown or deleted record id {record_id}")
-        return estimator.intersection_one(query_values, query_exact, row)
-
     def search(
         self,
         query: Iterable[object],
         threshold: float,
         query_size: int | None = None,
     ) -> list[SearchResult]:
-        """Containment similarity search with the plain-KMV estimator."""
-        if not 0.0 <= threshold <= 1.0:
-            raise ConfigurationError("threshold must be in [0, 1]")
-        query_elements = set(query)
-        if not query_elements:
-            raise ConfigurationError("query must contain at least one element")
-        q = len(query_elements) if query_size is None else int(query_size)
-        if q <= 0:
-            raise ConfigurationError("query_size must be positive")
-        estimator = self._finalize()
-        query_values, query_hash_count = self._query_values(query_elements)
-        estimates = estimator.intersection_many(query_values, query_hash_count)
-        return results_from_scores(estimates, threshold, q, row_ids=self._live_ids)
+        """Containment similarity search with the plain-KMV estimator.
+
+        A one-query :meth:`search_many` call.
+        """
+        sizes = None if query_size is None else [query_size]
+        return self.search_many([query], threshold, query_sizes=sizes)[0]
 
     def search_many(
         self,
@@ -440,13 +413,16 @@ class KMVSearchIndex(SimilarityIndex):
         query_sizes: Sequence[int] | None = None,
         row_block_size: int | None = None,
     ) -> list[list[SearchResult]]:
-        """Batched containment search: same results as looping :meth:`search`.
+        """Containment search for a whole workload (the Equation-10 engine).
 
-        Runs the fused multi-query Equation-10 path: every query's sketch
-        values are resolved against all records' values in one join-index
-        pass, and the records are swept in blocks of ``row_block_size``
-        (peak memory ``O(B × block)``).  Estimates — and therefore hits,
-        scores and ordering — are bit-identical to the per-query path.
+        Every query's sketch values are resolved against all records'
+        values in one join-index pass, and the records are swept in
+        blocks of ``row_block_size`` (peak memory ``O(B × block)``).
+        Scores equal the scalar
+        :meth:`~repro.core.kmv.KMVSketch.intersection_size_estimate`
+        divided by ``|Q|``, bit for bit, for every ``row_block_size``;
+        where that estimator refuses a pair (``k < 2``), the count of
+        shared sketch values stands in.
         """
         if not 0.0 <= threshold <= 1.0:
             raise ConfigurationError("threshold must be in [0, 1]")
@@ -517,17 +493,17 @@ class KMVSearchIndex(SimilarityIndex):
         )
 
 
-class GKMVSearchIndex(SimilarityIndex):
-    """G-KMV containment search: a GB-KMV index constrained to buffer size 0."""
+class GKMVSearchIndex(GBKMVIndex):
+    """G-KMV containment search (Equations 24–26): GB-KMV with an empty buffer.
+
+    Every build pins ``buffer_size=0``; the store, the query engine, the
+    dynamic maintenance and the snapshots are :class:`GBKMVIndex`'s own.
+    Snapshots carry this backend's tag, so :func:`repro.api.open_index`
+    restores them as this class.
+    """
 
     backend_id = "gkmv"
     config_type = GKMVConfig
-    capabilities = Capabilities(
-        dynamic=True, batched=True, persistent=True, exact=False, scored=True
-    )
-
-    def __init__(self, inner: GBKMVIndex) -> None:
-        self._inner = inner
 
     @classmethod
     def build(
@@ -540,7 +516,7 @@ class GKMVSearchIndex(SimilarityIndex):
         method: str = "bulk",
     ) -> "GKMVSearchIndex":
         """Build G-KMV sketches under the given budget (no frequent-element buffer)."""
-        inner = GBKMVIndex.build(
+        return super().build(
             records,
             space_fraction=space_fraction,
             space_budget=space_budget,
@@ -549,7 +525,6 @@ class GKMVSearchIndex(SimilarityIndex):
             seed=seed,
             method=method,
         )
-        return cls(inner)
 
     @classmethod
     def from_records(
@@ -567,128 +542,20 @@ class GKMVSearchIndex(SimilarityIndex):
             method=config.method,
         )
 
-    @property
-    def inner(self) -> GBKMVIndex:
-        """The underlying zero-buffer GB-KMV index."""
-        return self._inner
-
-    def statistics(self):
-        """Summary statistics of the inner zero-buffer GB-KMV index."""
-        return self._inner.statistics()
-
-    @property
-    def threshold(self) -> float:
-        """The global hash-value threshold ``τ``."""
-        return self._inner.threshold
-
-    @property
-    def num_records(self) -> int:
-        """Number of live indexed records."""
-        return self._inner.num_records
-
-    @property
-    def next_record_id(self) -> int:
-        """The id the next :meth:`insert` will assign (sequential, never reused)."""
-        return self._inner.next_record_id
-
-    def __len__(self) -> int:
-        return self.num_records
-
-    def space_in_values(self) -> float:
-        """Actual space used, in signature-value units."""
-        return self._inner.space_in_values()
-
-    def space_fraction(self) -> float:
-        """Space used as a fraction of the dataset size."""
-        return self._inner.space_fraction()
-
-    # ----------------------------------------------------- dynamic maintenance
-    def insert(self, record: Iterable[object]) -> int:
-        """Insert a new record under the current global threshold ``τ``."""
-        return self._inner.insert(record)
-
-    def insert_many(self, records: Sequence[Iterable[object]]) -> list[int]:
-        """Batched ingest through the inner index's bulk pipeline."""
-        return self._inner.insert_many(records)
-
-    def delete(self, record_id: int) -> None:
-        """Tombstone a record; it disappears from every subsequent search."""
-        self._inner.delete(record_id)
-
-    def update(self, record_id: int, record: Iterable[object]) -> int:
-        """Replace a record's content in place, keeping its record id."""
-        return self._inner.update(record_id, record)
-
-    def save(self, path, layout: str = "npz") -> None:
-        """Snapshot the inner zero-buffer GB-KMV index (npz or directory).
-
-        The snapshot's format tag names *this* backend, so
-        :func:`repro.api.open_index` restores it as a
-        :class:`GKMVSearchIndex` rather than a bare GB-KMV index.
-        ``layout`` is forwarded to :meth:`GBKMVIndex.save`.
-        """
-        self._inner.save(path, backend_id=self.backend_id, layout=layout)
-
     @classmethod
     def load(cls, path, mmap: bool = False) -> "GKMVSearchIndex":
-        """Restore an index saved with :meth:`save`.
-
-        ``mmap`` is forwarded to :meth:`GBKMVIndex.load` and maps the
-        large columns of a directory snapshot instead of reading them.
+        """Restore an index saved with :meth:`save` (either layout).
 
         Raises
         ------
         ConfigurationError
-            If the snapshot holds a *buffered* GB-KMV index: wrapping it
+            If the snapshot holds a *buffered* GB-KMV index: restoring it
             would silently report GB-KMV numbers under the G-KMV label.
         """
-        inner = GBKMVIndex.load(path, mmap=mmap)
-        if inner.buffer_size != 0:
+        index = super().load(path, mmap=mmap)
+        if index.buffer_size != 0:
             raise ConfigurationError(
                 "snapshot holds a GB-KMV index with buffer size "
-                f"{inner.buffer_size}; G-KMV requires buffer size 0"
+                f"{index.buffer_size}; G-KMV requires buffer size 0"
             )
-        return cls(inner)
-
-    # ----------------------------------------------------------------- search
-    def search(
-        self,
-        query: Iterable[object],
-        threshold: float,
-        query_size: int | None = None,
-    ) -> list[SearchResult]:
-        """Containment similarity search with the G-KMV estimator (Eq. 24–26)."""
-        return self._inner.search(query, threshold, query_size=query_size)
-
-    def search_many(
-        self,
-        queries: Sequence[Iterable[object]],
-        threshold: float,
-        query_sizes: Sequence[int] | None = None,
-        row_block_size: int | None = None,
-    ) -> list[list[SearchResult]]:
-        """Batched containment search through the inner GB-KMV engine."""
-        return self._inner.search_many(
-            queries,
-            threshold,
-            query_sizes=query_sizes,
-            row_block_size=row_block_size,
-        )
-
-    def top_k(
-        self, query: Iterable[object], k: int, query_size: int | None = None
-    ) -> list[SearchResult]:
-        """The ``k`` best-scoring records under the G-KMV estimator."""
-        return self._inner.top_k(query, k, query_size=query_size)
-
-    def top_k_many(
-        self,
-        queries: Sequence[Iterable[object]],
-        k: int,
-        query_sizes: Sequence[int] | None = None,
-        row_block_size: int | None = None,
-    ) -> list[list[SearchResult]]:
-        """Workload variant of :meth:`top_k` on the inner fused engine."""
-        return self._inner.top_k_many(
-            queries, k, query_sizes=query_sizes, row_block_size=row_block_size
-        )
+        return index

@@ -20,9 +20,10 @@ The central objects are:
     Flat columnar storage of every record's sketch state (CSR residual
     values, packed signature bitmaps, parallel size arrays) plus the
     vectorised kernels the batched query engine is built on.
-``GKMVBatchEstimator`` / ``KMVBatchEstimator``
-    Whole-candidate-set versions of the union / intersection /
-    containment estimators, bitwise identical to the per-sketch methods.
+``residual_intersection_estimates`` / ``KMVBatchEstimator``
+    Whole-workload versions of the G-KMV and plain-KMV intersection
+    estimators behind the two query engines, bitwise identical to the
+    per-sketch methods.
 """
 
 from repro.core.kmv import KMVSketch
@@ -55,15 +56,7 @@ from repro.core.cost_model import (
     residual_threshold_from_hashes,
 )
 from repro.core.store import ColumnarSketchStore
-from repro.core.batched import (
-    BatchEstimator,
-    GKMVBatchEstimator,
-    KMVBatchEstimator,
-    containment_from_intersections,
-    kmv_intersection_estimates,
-    residual_intersection_estimates,
-    residual_union_estimates,
-)
+from repro.core.batched import KMVBatchEstimator, residual_intersection_estimates
 from repro.core.index import (
     DEFAULT_ROW_BLOCK_SIZE,
     GBKMVIndex,
@@ -73,14 +66,9 @@ from repro.core.index import (
 )
 
 __all__ = [
-    "BatchEstimator",
     "ColumnarSketchStore",
-    "GKMVBatchEstimator",
     "KMVBatchEstimator",
-    "containment_from_intersections",
-    "kmv_intersection_estimates",
     "residual_intersection_estimates",
-    "residual_union_estimates",
     "IndexStatistics",
     "KMVSketch",
     "GKMVSketch",

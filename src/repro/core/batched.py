@@ -1,18 +1,18 @@
-"""Batched sketch estimators: whole-candidate-set versions of Eqs. 9–10 and 24–26.
+"""Whole-workload sketch estimators: Eqs. 9–10 and 25 over many pairs at once.
 
 The per-sketch estimator methods (:class:`~repro.core.kmv.KMVSketch`,
 :class:`~repro.core.gkmv.GKMVSketch`, :class:`~repro.core.gbkmv.GBKMVSketch`)
-score one ``(query, record)`` pair per call.  The functions here evaluate
-the *same* formulas for one query against every record of a columnar
-store at once, using vectorised merges instead of per-pair Python calls.
-They are the estimator layer the batched query engine
-(:meth:`~repro.core.index.GBKMVIndex.search_many` and the baselines in
-:mod:`repro.baselines.kmv_search`) is built on.  For whole workloads,
-:class:`KMVBatchEstimator` additionally offers a *fused* multi-query
-Equation-10 path (:meth:`KMVBatchEstimator.match_workload` +
-:meth:`KMVBatchEstimator.intersection_workload_block`) mirroring the
-columnar store's fused kernels: one join-index pass for every query at
-once, blocked over record rows.
+score one ``(query, record)`` pair per call.  This module evaluates the
+*same* formulas for many pairs at once, with vectorised array passes
+instead of per-pair Python calls, for the two query engines:
+
+* :func:`residual_intersection_estimates` is Equation 25 over the
+  value-sharing pairs that :meth:`~repro.core.index.GBKMVIndex.search_many`
+  scores (GB-KMV, and G-KMV as GB-KMV with an empty buffer);
+* :class:`KMVBatchEstimator` holds the plain-KMV baseline's per-record
+  values and answers Equation 10 for a whole workload: one join-index
+  pass for every query (:meth:`KMVBatchEstimator.match_workload`), then
+  blocks of record rows (:meth:`KMVBatchEstimator.intersection_workload_block`).
 
 Bitwise fidelity is a hard requirement, not an aspiration: every function
 reproduces the corresponding scalar estimator's branch structure (exact
@@ -26,76 +26,46 @@ Conventions
 * Query hash values are sorted ascending and distinct.
 * ``*_exact`` flags say whether a sketch retains *every* hash value of
   its record, enabling the exact short-circuit of the scalar estimators.
-* Union estimates that the scalar API would refuse (fewer than two
-  retained values and not exact) are reported as ``nan``.
-* Rows of the segmented store are *physical* rows; tombstoned rows (in
-  the sealed base or the mutable tail) are skipped — ``0.0``
-  intersection, ``nan`` union — via the optional ``alive_rows`` mask.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol, Sequence, runtime_checkable
+from typing import Sequence
 
 import numpy as np
 
-from repro._errors import ConfigurationError
 from repro.core.sorting import stable_argsort
-from repro.core.store import ColumnarSketchStore, match_join_index
-
-
-@runtime_checkable
-class BatchEstimator(Protocol):
-    """Estimators that score one query against every stored record at once."""
-
-    def intersection_many(
-        self, query_values: np.ndarray, query_record_size: int
-    ) -> np.ndarray:  # pragma: no cover - protocol
-        """Estimated ``|Q ∩ X|`` for every record."""
-        ...
-
-    def containment_many(
-        self, query_values: np.ndarray, query_record_size: int, query_size: int
-    ) -> np.ndarray:  # pragma: no cover - protocol
-        """Estimated ``C(Q, X)`` for every record."""
-        ...
+from repro.core.store import match_join_index
 
 
 def residual_intersection_estimates(
-    intersection_counts: np.ndarray,
+    common_counts: np.ndarray,
     row_sizes: np.ndarray,
     row_max: np.ndarray,
     row_exact: np.ndarray,
     query_num_values,
     query_max,
     query_exact,
-    alive_rows: np.ndarray | None = None,
 ) -> np.ndarray:
-    """G-KMV intersection estimates (Equation 25) for whole candidate sets.
+    """G-KMV intersection estimates (Equation 25) for many pairs at once.
 
-    Accepts either one query (scalar query parameters, 1-D counts) or a
-    workload (``(B, n)`` counts with ``(B, 1)`` query parameter columns);
-    everything broadcasts.
+    Every argument broadcasts; the GB-KMV engine passes one entry per
+    (query, record) pair it scores.
 
     Parameters
     ----------
-    intersection_counts:
-        ``K∩ = |L_Q ∩ L_X|`` per record (int), from a store kernel.
+    common_counts:
+        ``K∩ = |L_Q ∩ L_X|`` per pair (int), from the store's join match.
     row_sizes, row_max, row_exact:
-        Per-record stored-value counts, largest stored values, and
+        The records' stored-value counts, largest stored values, and
         exactness flags (the store's derived columns).
     query_num_values, query_max, query_exact:
         The query sketch's value count, largest value (``0.0`` when
         empty) and exactness flag.
-    alive_rows:
-        Optional liveness mask over rows (the segmented store's
-        tombstone complement); tombstoned rows report ``0.0``.  ``None``
-        skips the masking pass entirely, keeping the static path
-        bit-identical to the scalar estimators.
     """
     sizes = np.asarray(row_sizes, dtype=np.float64)
-    k_cap = np.asarray(intersection_counts, dtype=np.float64)
+    k_cap = np.asarray(common_counts, dtype=np.float64)
     # k of Equation 24: |L_Q ∪ L_X| = |L_Q| + |L_X| − K∩; U(k) is the
     # largest hash value in the union because all values are <= τ.
     k_union = query_num_values + sizes - k_cap
@@ -109,203 +79,7 @@ def residual_intersection_estimates(
     # assignment would produce, and no gather/scatter passes are needed.
     with np.errstate(divide="ignore", invalid="ignore"):
         formula = (k_cap / k_union) * ((k_union - 1.0) / u_k)
-    estimates = np.where(both_exact, k_cap, np.where(estimable, formula, 0.0))
-    if alive_rows is not None:
-        estimates = np.where(alive_rows, estimates, 0.0)
-    return estimates
-
-
-def residual_union_estimates(
-    intersection_counts: np.ndarray,
-    row_sizes: np.ndarray,
-    row_max: np.ndarray,
-    row_exact: np.ndarray,
-    query_num_values,
-    query_max,
-    query_exact,
-    alive_rows: np.ndarray | None = None,
-) -> np.ndarray:
-    """G-KMV union-size estimates (Equation 24) for whole candidate sets.
-
-    Exact pairs report the exact union of their hash sets; estimable
-    pairs report ``(k − 1) / U(k)``; degenerate pairs (union of fewer
-    than two observed values, not exact) report ``nan`` — the batch
-    analogue of the scalar API's :class:`~repro._errors.EstimationError`.
-    Tombstoned rows (``alive_rows`` false) also report ``nan``: a union
-    with a deleted record is as unanswerable as a degenerate one.
-    """
-    sizes = np.asarray(row_sizes, dtype=np.float64)
-    k_cap = np.asarray(intersection_counts, dtype=np.float64)
-    k_union = query_num_values + sizes - k_cap
-    u_k = np.maximum(row_max, query_max)
-
-    both_exact = row_exact & query_exact
-    estimable = (~both_exact) & (k_union >= 2) & (u_k > 0.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        formula = (k_union - 1.0) / u_k
-    estimates = np.where(both_exact, k_union, np.where(estimable, formula, np.nan))
-    if alive_rows is not None:
-        estimates = np.where(alive_rows, estimates, np.nan)
-    return estimates
-
-
-def kmv_intersection_estimates(
-    query_values: np.ndarray,
-    query_exact: bool,
-    record_matrix: np.ndarray,
-    row_counts: np.ndarray,
-    record_sizes: np.ndarray,
-) -> np.ndarray:
-    """Plain-KMV intersection estimates (Equation 10) for whole candidate sets.
-
-    Parameters
-    ----------
-    query_values:
-        The query sketch's values, sorted ascending and distinct.
-    query_exact:
-        Whether the query sketch retains every hash value of the query.
-    record_matrix:
-        Dense ``(n, k)`` matrix of per-record sketch values, each row
-        sorted ascending and padded with ``+inf``.
-    row_counts:
-        Number of real (non-padding) values per row.
-    record_sizes:
-        Distinct-element count of each sketched record.
-
-    The per-pair ``k`` is ``min(|L_Q|, |L_X|)`` and ``U(k)`` is the k-th
-    smallest *distinct* value of ``L_Q ∪ L_X``, found by sorting the
-    row-wise concatenation of the two value sets — one ``np.sort`` call
-    for the whole candidate set.
-    """
-    matrix = np.asarray(record_matrix, dtype=np.float64)
-    num_records = matrix.shape[0]
-    query_values = np.asarray(query_values, dtype=np.float64)
-    query_count = int(query_values.size)
-    estimates = np.zeros(num_records, dtype=np.float64)
-    if num_records == 0 or query_count == 0:
-        return estimates
-
-    positions = np.searchsorted(query_values, matrix)
-    member = np.zeros(matrix.shape, dtype=bool)
-    in_range = positions < query_count
-    member[in_range] = query_values[positions[in_range]] == matrix[in_range]
-    common = member.sum(axis=1, dtype=np.int64)
-
-    k = np.minimum(row_counts, query_count).astype(np.int64)
-    record_exact = row_counts >= record_sizes
-    use_common = (query_exact & record_exact) | (k < 2)
-    estimates[use_common] = common[use_common]
-
-    needs_formula = ~use_common
-    if np.any(needs_formula):
-        rows = np.nonzero(needs_formula)[0]
-        combined = np.concatenate(
-            [matrix[rows], np.broadcast_to(query_values, (rows.size, query_count))],
-            axis=1,
-        )
-        merged = np.sort(combined, axis=1)
-        distinct = np.ones(merged.shape, dtype=bool)
-        distinct[:, 1:] = merged[:, 1:] != merged[:, :-1]
-        distinct &= np.isfinite(merged)
-        ranks = np.cumsum(distinct, axis=1)
-        k_rows = k[rows]
-        # First column whose distinct-rank reaches k = the k-th smallest
-        # distinct union value U(k).
-        column = (ranks < k_rows[:, np.newaxis]).sum(axis=1)
-        u_k = merged[np.arange(rows.size), column]
-        k_cap = (member[rows] & (matrix[rows] <= u_k[:, np.newaxis])).sum(
-            axis=1, dtype=np.int64
-        )
-        k_f = k_rows.astype(np.float64)
-        estimates[rows] = (k_cap / k_f) * ((k_f - 1.0) / u_k)
-    return estimates
-
-
-def containment_from_intersections(
-    intersections: np.ndarray, query_size: int
-) -> np.ndarray:
-    """Turn intersection estimates into containment estimates ``D̂∩ / |Q|``."""
-    if query_size <= 0:
-        raise ConfigurationError("query_size must be positive")
-    return np.asarray(intersections, dtype=np.float64) / float(query_size)
-
-
-class GKMVBatchEstimator:
-    """Batched G-KMV estimators over a columnar store of residual sketches.
-
-    The store's rows are the candidate sketches; each call scores one
-    query (given by its kept hash values and its residual record size)
-    against every *physical* row at once.  Tombstoned rows in either
-    segment of the store are skipped (``0.0`` intersection, ``nan``
-    union); map rows to record ids with the store's
-    :meth:`~repro.core.store.ColumnarSketchStore.result_view`.
-    """
-
-    def __init__(self, store: ColumnarSketchStore) -> None:
-        self._store = store
-
-    @property
-    def store(self) -> ColumnarSketchStore:
-        """The underlying columnar store."""
-        return self._store
-
-    def _query_parts(self, query_values: np.ndarray, query_record_size: int):
-        query_values = np.asarray(query_values, dtype=np.float64)
-        query_max = float(query_values[-1]) if query_values.size else 0.0
-        query_exact = bool(query_values.size >= query_record_size)
-        return query_values, query_max, query_exact
-
-    def _alive(self) -> np.ndarray | None:
-        _row_ids, alive = self._store.result_view()
-        return alive
-
-    def intersection_many(
-        self, query_values: np.ndarray, query_record_size: int
-    ) -> np.ndarray:
-        """Equation 25 against every stored row (``0.0`` for tombstones)."""
-        store = self._store
-        query_values, query_max, query_exact = self._query_parts(
-            query_values, query_record_size
-        )
-        counts = store.intersection_counts(query_values)
-        return residual_intersection_estimates(
-            counts,
-            store.row_sizes,
-            store.row_max,
-            store.row_exact,
-            query_values.size,
-            query_max,
-            query_exact,
-            alive_rows=self._alive(),
-        )
-
-    def union_many(
-        self, query_values: np.ndarray, query_record_size: int
-    ) -> np.ndarray:
-        """Equation 24 against every stored row (``nan`` where degenerate or dead)."""
-        store = self._store
-        query_values, query_max, query_exact = self._query_parts(
-            query_values, query_record_size
-        )
-        counts = store.intersection_counts(query_values)
-        return residual_union_estimates(
-            counts,
-            store.row_sizes,
-            store.row_max,
-            store.row_exact,
-            query_values.size,
-            query_max,
-            query_exact,
-            alive_rows=self._alive(),
-        )
-
-    def containment_many(
-        self, query_values: np.ndarray, query_record_size: int, query_size: int
-    ) -> np.ndarray:
-        """Equation 26 against every stored record."""
-        return containment_from_intersections(
-            self.intersection_many(query_values, query_record_size), query_size
-        )
+    return np.where(both_exact, k_cap, np.where(estimable, formula, 0.0))
 
 
 @dataclass(frozen=True)
@@ -364,46 +138,6 @@ class KMVBatchEstimator:
         """Number of candidate rows."""
         return int(self._matrix.shape[0])
 
-    @property
-    def record_sizes(self) -> np.ndarray:
-        """Distinct-element count of each sketched record."""
-        return self._record_sizes
-
-    def intersection_one(
-        self, query_values: np.ndarray, query_exact: bool, record_id: int
-    ) -> float:
-        """Equation 10 against a single record (single-row slice of the batch)."""
-        estimates = kmv_intersection_estimates(
-            np.asarray(query_values, dtype=np.float64),
-            bool(query_exact),
-            self._matrix[record_id : record_id + 1],
-            self._row_counts[record_id : record_id + 1],
-            self._record_sizes[record_id : record_id + 1],
-        )
-        return float(estimates[0])
-
-    def intersection_many(
-        self, query_values: np.ndarray, query_record_size: int
-    ) -> np.ndarray:
-        """Equation 10 against every stored record."""
-        query_values = np.asarray(query_values, dtype=np.float64)
-        query_exact = bool(query_values.size >= query_record_size)
-        return kmv_intersection_estimates(
-            query_values,
-            query_exact,
-            self._matrix,
-            self._row_counts,
-            self._record_sizes,
-        )
-
-    def containment_many(
-        self, query_values: np.ndarray, query_record_size: int, query_size: int
-    ) -> np.ndarray:
-        """Containment from Equation 10 against every stored record."""
-        return containment_from_intersections(
-            self.intersection_many(query_values, query_record_size), query_size
-        )
-
     # ------------------------------------------------- fused workload kernels
     def _join_index(self) -> tuple[np.ndarray, np.ndarray]:
         """Every finite sketch value, sorted, with its record row alongside."""
@@ -453,13 +187,14 @@ class KMVBatchEstimator:
     ) -> np.ndarray:
         """Equation 10 for every (query, record) pair in a block of rows.
 
-        The fused multi-query counterpart of
-        :func:`kmv_intersection_estimates`: estimates are bit-identical
-        per pair, but the common counts come from the precomputed match
-        run (one flat ``bincount``) and the union sort covers the whole
-        block's formula pairs at once.  Pairs with no shared value
+        Estimates equal the scalar
+        :meth:`~repro.core.kmv.KMVSketch.intersection_size_estimate` per
+        pair, bit for bit.  The common counts come from the precomputed
+        match run (one flat ``bincount``) and the union sort covers the
+        whole block's formula pairs at once.  Pairs with no shared value
         estimate to exactly ``0.0`` down both branches, so they skip the
-        union sort entirely.
+        union sort entirely.  Where the scalar estimator refuses a pair
+        (``k < 2``), the common count stands in.
 
         Parameters
         ----------

@@ -37,8 +37,9 @@ passes:
 
 Every whole-column stable sort of construction — here, in the
 cost model's threshold and in the store's join index — runs through
-:func:`~repro.core.sorting.stable_argsort`, which packs keys and
-positions into uint64 and lets numpy's vectorised value sort order
+:func:`~repro.core.sorting.stable_argsort` or its multi-key form
+:func:`~repro.core.sorting.stable_lexsort`, which pack keys and
+positions into uint64 and let numpy's vectorised value sort order
 them; ``np.argsort(kind="stable")`` on 64-bit keys is a comparison sort
 many times slower.
 
@@ -79,7 +80,7 @@ import numpy as np
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.buffer import FrequentElementVocabulary
 from repro.core.profiling import BuildProfile
-from repro.core.sorting import stable_argsort
+from repro.core.sorting import stable_argsort, stable_lexsort
 from repro.core.store import BITS_PER_WORD
 from repro.hashing import UnitHash, fingerprint_many
 
@@ -579,8 +580,7 @@ def _sorted_distinct_per_record(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-record sorted distinct values from flat (record, value) pairs.
 
-    Two stable argsort passes — by value, then by record — order the
-    pairs by record then value, as ``np.lexsort((values, records))``; a
+    One stable lexsort orders the pairs by record then value; a
     segment-boundary reduction drops equal values within a record (hash
     collisions) — exactly what a per-record ``np.unique`` produces, as a
     single pass.  The one home of this selection for both the GB-KMV
@@ -589,8 +589,7 @@ def _sorted_distinct_per_record(
     offsets)``: the surviving values in (record, value) order, the
     per-record survivor counts, and their CSR offsets.
     """
-    order = stable_argsort(values)
-    order = order[stable_argsort(records[order])]
+    order = stable_lexsort((values, records))
     records = records[order]
     values = values[order]
     if values.size:

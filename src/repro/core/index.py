@@ -228,42 +228,6 @@ def _assemble_workload_results(
     return [hits[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
-def results_from_scores(
-    scores: np.ndarray,
-    threshold: float,
-    query_size: int,
-    row_ids: np.ndarray | None = None,
-    alive: np.ndarray | None = None,
-) -> list[SearchResult]:
-    """Select, normalise and sort the hits of one query.
-
-    The hit-selection policy every searcher in the library shares (the
-    KMV baseline calls this; :meth:`GBKMVIndex.search_many` applies the
-    same test inside its engine): a zero effective threshold keeps every
-    record, otherwise hits need an intersection estimate of at least
-    ``threshold * query_size`` up to a relative tolerance, and results
-    are ordered by decreasing score with ties broken by record id.
-
-    ``scores`` is indexed by physical store row; ``row_ids`` maps rows to
-    stable record ids (identity when ``None``) and ``alive`` masks out
-    tombstoned rows (all alive when ``None``) — the two halves of the
-    segmented store's :meth:`~repro.core.store.ColumnarSketchStore.result_view`.
-    """
-    theta = threshold * query_size
-    if theta <= 0.0:
-        hit_rows = np.arange(scores.size) if alive is None else np.nonzero(alive)[0]
-    else:
-        # Relative tolerance so exact integer estimates survive the float
-        # noise of ``threshold * q`` without admitting genuinely lower scores.
-        hit_mask = scores >= theta * (1.0 - 1e-12)
-        if alive is not None:
-            hit_mask &= alive
-        hit_rows = np.nonzero(hit_mask)[0]
-    hit_scores = scores[hit_rows] / query_size
-    hit_ids = hit_rows if row_ids is None else row_ids[hit_rows]
-    return sorted_hits(hit_ids, hit_scores)
-
-
 def _encode_elements(elements: Sequence[object]) -> list[list[object]]:
     """JSON-safe tagged encoding of vocabulary elements (int/str/bytes/bool)."""
     encoded: list[list[object]] = []
@@ -1038,7 +1002,7 @@ class GBKMVIndex(SimilarityIndex):
     #: in particular ``tombstones``, which ``delete`` flips in place.
     _MMAP_COLUMNS = frozenset({"values", "signatures"})
 
-    def save(self, path, backend_id: str | None = None, layout: str = "npz") -> None:
+    def save(self, path, layout: str = "npz") -> None:
         """Snapshot the full index state to one self-describing snapshot.
 
         Everything :meth:`load` needs to answer queries identically is
@@ -1046,8 +1010,7 @@ class GBKMVIndex(SimilarityIndex):
         columns, row ids, tombstones), the frequent-element vocabulary,
         the global threshold ``τ``, the space budget and the hasher seed
         — plus the format tag :func:`repro.api.open_index` dispatches
-        on.  ``backend_id`` overrides the tag's backend for wrappers
-        that persist through this index (the G-KMV baseline).
+        on, which names the class's :attr:`backend_id`.
 
         ``layout`` picks the on-disk shape: ``"npz"`` (default) writes a
         single compressed archive; ``"dir"`` writes a directory of raw
@@ -1062,7 +1025,7 @@ class GBKMVIndex(SimilarityIndex):
             "vocabulary": _encode_elements(self._vocabulary.elements),
         }
         if layout == "dir":
-            self._save_directory(path, backend_id or self.backend_id, meta)
+            self._save_directory(path, meta)
             return
         if layout != "npz":
             raise ConfigurationError(
@@ -1070,14 +1033,12 @@ class GBKMVIndex(SimilarityIndex):
             )
         np.savez_compressed(
             path,
-            api_meta=snapshot_tag(
-                backend_id or self.backend_id, self.SNAPSHOT_FORMAT_VERSION
-            ),
+            api_meta=snapshot_tag(self.backend_id, self.SNAPSHOT_FORMAT_VERSION),
             index_meta=np.array(json.dumps(meta)),
             **self._store.state_arrays(),
         )
 
-    def _save_directory(self, path, backend_id: str, meta: dict) -> None:
+    def _save_directory(self, path, meta: dict) -> None:
         """Write the ``layout="dir"`` snapshot: manifest + per-column .npy."""
         directory = Path(path)
         if directory.exists() and not directory.is_dir():
@@ -1089,7 +1050,7 @@ class GBKMVIndex(SimilarityIndex):
         for name, array in arrays.items():
             np.save(directory / f"{name}.npy", np.ascontiguousarray(array))
         manifest = directory_manifest(
-            backend_id,
+            self.backend_id,
             self.SNAPSHOT_FORMAT_VERSION,
             index_meta=meta,
             arrays=sorted(arrays),

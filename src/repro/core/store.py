@@ -40,12 +40,10 @@ the columns, filtering (never re-sorting) the derived caches.  The full
 segment state round-trips through npz snapshots via :meth:`save` /
 :meth:`load`.
 
-On top of the columns the store offers the vectorised kernels the
-query engine is built from: whole-dataset intersection counts against a
-sorted query array (a vectorised merge over the CSR arrays), and the
-*fused whole-workload* kernels — :meth:`match_workload` resolves every
-query's values against the value→record join index in one
-``searchsorted`` pass and returns the sparse (query, row, count)
+On top of the columns the store offers the *fused whole-workload*
+kernels the query engine is built from: :meth:`match_workload`
+resolves every query's values against the value→record join index in
+one ``searchsorted`` pass and returns the sparse (query, row, count)
 triples of the pairs that share a value, and
 :meth:`signature_overlap_block` extracts the ``(B, block)`` popcount
 overlap matrix of a row range, so an engine can sweep a workload over
@@ -882,29 +880,6 @@ class ColumnarSketchStore:
         if row < base_rows:
             return int(self._residual_record_sizes[row])
         return self._pending_residual_sizes[row - base_rows]
-
-    # -------------------------------------------------------------- kernels
-    def intersection_counts(self, query_values: np.ndarray) -> np.ndarray:
-        """``|L_Q ∩ L_X|`` for *every* physical row at once (vectorised CSR merge).
-
-        ``query_values`` must be sorted ascending and distinct.  The merge
-        is one ``searchsorted`` of all stored values against the query
-        followed by a per-row segment sum — no per-record Python work.
-        Tombstoned rows are counted like any other; mask them with
-        :attr:`alive_rows` downstream.
-        """
-        self.finalize()
-        query_values = np.asarray(query_values, dtype=np.float64)
-        if query_values.size == 0 or self._values.size == 0:
-            return np.zeros(self.num_rows, dtype=np.int64)
-        positions = np.searchsorted(query_values, self._values)
-        member = np.zeros(self._values.size, dtype=np.int64)
-        in_range = positions < query_values.size
-        member[in_range] = (
-            query_values[positions[in_range]] == self._values[in_range]
-        )
-        cumulative = np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(member)])
-        return cumulative[self._offsets[1:]] - cumulative[self._offsets[:-1]]
 
     # ------------------------------------------------- fused workload kernels
     def match_workload(

@@ -161,9 +161,9 @@ def _exact_live_hits(
 ) -> frozenset[int]:
     """Record ids of the live set whose exact containment reaches the threshold.
 
-    Uses the same relative tolerance as the searchers' hit-selection
-    policy (:func:`repro.core.index.results_from_scores`), so a sketch
-    that estimates exactly can reach perfect F1 on the stream.
+    Uses the same relative tolerance as the query engines' hit test
+    (:meth:`repro.core.index.GBKMVIndex.search_many`), so a sketch that
+    estimates exactly can reach perfect F1 on the stream.
     """
     theta = threshold * len(query_elements)
     return frozenset(

@@ -14,11 +14,8 @@ from repro.evaluation.metrics import (
 from repro.evaluation.ground_truth import exact_result_sets
 from repro.evaluation.harness import (
     AccuracyReport,
-    BatchSearcher,
     DynamicEvaluation,
-    DynamicSearcher,
     MethodEvaluation,
-    Searcher,
     evaluate_dynamic_stream,
     evaluate_search_method,
     run_dynamic_experiment,
@@ -34,10 +31,7 @@ __all__ = [
     "f_score",
     "exact_result_sets",
     "AccuracyReport",
-    "BatchSearcher",
     "DynamicEvaluation",
-    "DynamicSearcher",
-    "Searcher",
     "MethodEvaluation",
     "evaluate_dynamic_stream",
     "evaluate_search_method",

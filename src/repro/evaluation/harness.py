@@ -24,17 +24,13 @@ Every harness entry point drives searchers through the unified
 read off its :class:`~repro.api.Capabilities` declaration (with a
 duck-typing fallback for plain objects that merely quack like a
 searcher), so there is no per-method special-casing anywhere below.
-The historical :class:`Searcher` / :class:`BatchSearcher` /
-:class:`DynamicSearcher` protocols remain as deprecated aliases for
-callers that still type-check against them.
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -65,33 +61,6 @@ def supports_operation(searcher, operation: str) -> bool:
             return capabilities.scored
         return True
     return callable(getattr(searcher, operation, None))
-
-
-@runtime_checkable
-class Searcher(Protocol):
-    """Deprecated alias: use :class:`repro.api.SimilarityIndex`.
-
-    Anything with a ``search(query, threshold)`` method returning scored
-    hits satisfies it; the harness no longer checks against it.
-    """
-
-    def search(self, query, threshold, query_size=None):  # pragma: no cover - protocol
-        """Return hits with ``record_id`` attributes (or plain record ids)."""
-        ...
-
-
-@runtime_checkable
-class BatchSearcher(Protocol):
-    """Deprecated alias: use :class:`repro.api.SimilarityIndex` with
-    :func:`supports_operation` (``search_many`` is always available there)."""
-
-    def search(self, query, threshold, query_size=None):  # pragma: no cover - protocol
-        """Return hits with ``record_id`` attributes (or plain record ids)."""
-        ...
-
-    def search_many(self, queries, threshold, query_sizes=None):  # pragma: no cover - protocol
-        """Return one hit list per query, identical to looping ``search``."""
-        ...
 
 
 @dataclass(frozen=True)
@@ -168,7 +137,7 @@ def measure_accuracy(
 
 def evaluate_search_method(
     method_name: str,
-    searcher: Searcher,
+    searcher: SimilarityIndex,
     queries: Sequence[Sequence[object]],
     ground_truth: Sequence[Iterable[int]],
     threshold: float,
@@ -209,25 +178,6 @@ def evaluate_search_method(
     )
 
 
-@runtime_checkable
-class DynamicSearcher(Protocol):
-    """Deprecated alias: use :class:`repro.api.SimilarityIndex` with
-    ``capabilities.dynamic`` — searchers that absorb inserts and deletes
-    under stable record ids."""
-
-    def search(self, query, threshold, query_size=None):  # pragma: no cover - protocol
-        """Return hits with ``record_id`` attributes (or plain record ids)."""
-        ...
-
-    def insert(self, record):  # pragma: no cover - protocol
-        """Insert a record, returning its new stable record id."""
-        ...
-
-    def delete(self, record_id):  # pragma: no cover - protocol
-        """Remove a record; later searches must not return it."""
-        ...
-
-
 @dataclass(frozen=True)
 class DynamicEvaluation:
     """Accuracy plus throughput of one method over one mixed stream."""
@@ -247,11 +197,10 @@ class DynamicEvaluation:
 
 def evaluate_dynamic_stream(
     method_name: str,
-    searcher: DynamicSearcher,
+    searcher: SimilarityIndex,
     workload,
-    batch_inserts: bool = False,
     *,
-    coalesce_writes: bool | None = None,
+    coalesce_writes: bool = False,
 ) -> DynamicEvaluation:
     """Replay a mixed insert/delete/query stream and measure everything.
 
@@ -273,19 +222,7 @@ def evaluate_dynamic_stream(
     serves live traffic through; stream semantics are unchanged, only
     the measured mutation wall-clock drops.  Searchers without
     ``insert_many`` fall back to the per-operation replay.
-
-    ``batch_inserts`` is the deprecated spelling of the same switch
-    (it predates the shared write buffer); it warns and forwards.
     """
-    if batch_inserts:
-        warnings.warn(
-            "batch_inserts is deprecated; use coalesce_writes=True (the "
-            "replay now rides the serving layer's write buffer)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if coalesce_writes is None:
-        coalesce_writes = bool(batch_inserts)
     if coalesce_writes and supports_operation(searcher, "insert_many"):
         return _evaluate_dynamic_stream_coalesced(method_name, searcher, workload)
     answers: list[set[int]] = []
@@ -335,7 +272,7 @@ def evaluate_dynamic_stream(
 
 
 def _evaluate_dynamic_stream_coalesced(
-    method_name: str, searcher: DynamicSearcher, workload
+    method_name: str, searcher: SimilarityIndex, workload
 ) -> DynamicEvaluation:
     """The coalesced replay: the stream through the serving write buffer.
 
@@ -400,7 +337,7 @@ def _evaluate_dynamic_stream_coalesced(
 
 def _assemble_dynamic_evaluation(
     method_name: str,
-    searcher: DynamicSearcher,
+    searcher: SimilarityIndex,
     workload,
     answers: list[set[int]],
     truths: list[frozenset[int]],
@@ -432,7 +369,7 @@ def _assemble_dynamic_evaluation(
 
 def run_dynamic_experiment(
     workload,
-    methods: dict[str, Callable[[Sequence[Sequence[object]]], DynamicSearcher]],
+    methods: dict[str, Callable[[Sequence[Sequence[object]]], SimilarityIndex]],
 ) -> dict[str, DynamicEvaluation]:
     """Build every method on the stream's initial records and replay it.
 
@@ -450,7 +387,7 @@ def run_experiment(
     records: Sequence[Sequence[object]],
     queries: Sequence[Sequence[object]],
     threshold: float,
-    methods: dict[str, Callable[[], Searcher]],
+    methods: dict[str, Callable[[], SimilarityIndex]],
 ) -> dict[str, MethodEvaluation]:
     """Build every method, evaluate it, and return the results keyed by name.
 
@@ -472,7 +409,9 @@ def run_experiment(
     return evaluations
 
 
-def time_construction(builder: Callable[[], Searcher]) -> tuple[Searcher, float]:
+def time_construction(
+    builder: Callable[[], SimilarityIndex],
+) -> tuple[SimilarityIndex, float]:
     """Build an index and report the wall-clock construction time."""
     start = time.perf_counter()
     built = builder()

@@ -1,6 +1,6 @@
-"""MinHash substrate: signatures, banded LSH and LSH Forest.
+"""MinHash substrate: signatures and banded LSH.
 
-The LSH Ensemble baseline (Section III-A) is built from three pieces that
+The LSH Ensemble baseline (Section III-A) is built from the pieces that
 live here:
 
 ``MinHashSignature``
@@ -9,9 +9,6 @@ live here:
 ``MinHashLSH``
     Classic banded LSH index with ``(b, r)`` parameters and the standard
     candidate-probability model ``1 − (1 − s^r)^b``.
-``LSHForest``
-    Prefix-tree variant supporting variable match depth at query time,
-    which is what lets LSH Ensemble tune its parameters per query.
 ``optimal_lsh_params``
     Numerical minimisation of expected false positives + false negatives
     over feasible ``(b, r)`` pairs for a Jaccard threshold.
@@ -19,12 +16,10 @@ live here:
 
 from repro.minhash.signature import MinHashSignature
 from repro.minhash.lsh import MinHashLSH, candidate_probability, optimal_lsh_params
-from repro.minhash.lsh_forest import LSHForest
 
 __all__ = [
     "MinHashSignature",
     "MinHashLSH",
-    "LSHForest",
     "candidate_probability",
     "optimal_lsh_params",
 ]

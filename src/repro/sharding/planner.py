@@ -22,10 +22,11 @@ plan once, sketch shards concurrently*:
 - ``gbkmv`` / ``gkmv`` pin parameters via
   :meth:`~repro.core.index.GBKMVIndex.plan_parameters` and sketch each
   slice with :meth:`~repro.core.index.GBKMVIndex.from_flat` (``gkmv``
-  pins ``buffer_size=0`` and wraps the shards); ``kmv`` applies the
-  Theorem-1 allocation ``k = ⌊b / m⌋`` with the *global* ``b`` and
-  ``m``, hashes the unique universe once, and bulk-selects each slice's
-  rows;
+  pins ``buffer_size=0`` and builds its shards as the zero-buffer
+  subclass :class:`~repro.baselines.kmv_search.GKMVSearchIndex`);
+  ``kmv`` applies the Theorem-1 allocation ``k = ⌊b / m⌋`` with the
+  *global* ``b`` and ``m``, hashes the unique universe once, and
+  bulk-selects each slice's rows;
 - the per-shard sketch kernels fan out on a
   :class:`~repro.sharding.executor.ShardExecutor` sized by
   ``build_workers`` — threads by default (the kernels release the GIL),
@@ -177,6 +178,7 @@ def _kmv_shard_rows(payload):
 
 
 def _pinned_gbkmv_shards(
+    index_type: type[GBKMVIndex],
     records,
     groups,
     method: str,
@@ -185,9 +187,13 @@ def _pinned_gbkmv_shards(
     build_executor,
     profile,
 ) -> list[GBKMVIndex]:
-    """Flatten once, plan once, sketch every shard under the pinned params."""
+    """Flatten once, plan once, sketch every shard under the pinned params.
+
+    ``index_type`` is the class every shard is built as: ``GBKMVIndex``
+    or its zero-buffer subclass ``GKMVSearchIndex``.
+    """
     flat = flatten_records(records, profile=profile)
-    params = GBKMVIndex.plan_parameters(flat, profile=profile, **plan_kwargs)
+    params = index_type.plan_parameters(flat, profile=profile, **plan_kwargs)
     # Each shard carries an equal slice of the global budget; the budget
     # only feeds per-shard bookkeeping (refit headroom, statistics) —
     # sketch content is fully determined by the pinned parameters.
@@ -196,7 +202,7 @@ def _pinned_gbkmv_shards(
         # The historical baseline sketches record-at-a-time from the raw
         # records; it stays serial (and re-materialises shard lists).
         return [
-            GBKMVIndex.from_parameters(
+            index_type.from_parameters(
                 _records_of(records, group),
                 vocabulary=params.vocabulary,
                 threshold=params.threshold,
@@ -205,7 +211,7 @@ def _pinned_gbkmv_shards(
                 method="per-record",
             )
             if group.size
-            else GBKMVIndex(
+            else index_type(
                 vocabulary=params.vocabulary,
                 threshold=params.threshold,
                 hasher=params.hasher,
@@ -219,7 +225,7 @@ def _pinned_gbkmv_shards(
     try:
         if build_executor == "process":
             shards = [
-                GBKMVIndex(
+                index_type(
                     vocabulary=params.vocabulary,
                     threshold=params.threshold,
                     hasher=params.hasher,
@@ -266,13 +272,13 @@ def _pinned_gbkmv_shards(
 
         def build_one(piece: FlatRecords) -> GBKMVIndex:
             if piece.num_records == 0:
-                return GBKMVIndex(
+                return index_type(
                     vocabulary=params.vocabulary,
                     threshold=params.threshold,
                     hasher=params.hasher,
                     budget=share,
                 )
-            return GBKMVIndex.from_flat(
+            return index_type.from_flat(
                 piece,
                 vocabulary=params.vocabulary,
                 threshold=params.threshold,
@@ -294,6 +300,7 @@ def _gbkmv_shards(
     config = GBKMVIndex.resolve_config(inner_config)
     GBKMVIndex._check_build_method(config.method)
     return _pinned_gbkmv_shards(
+        GBKMVIndex,
         records,
         groups,
         config.method,
@@ -315,7 +322,8 @@ def _gkmv_shards(
 ):
     config = GKMVSearchIndex.resolve_config(inner_config)
     GBKMVIndex._check_build_method(config.method)
-    inners = _pinned_gbkmv_shards(
+    return _pinned_gbkmv_shards(
+        GKMVSearchIndex,
         records,
         groups,
         config.method,
@@ -329,7 +337,6 @@ def _gkmv_shards(
         build_executor,
         profile,
     )
-    return [GKMVSearchIndex(inner) for inner in inners]
 
 
 def _kmv_shards(

@@ -12,12 +12,12 @@ import numpy as np
 import pytest
 
 from repro._errors import SketchCompatibilityError
-from repro.core import GBKMVIndex, GKMVBatchEstimator, KMVBatchEstimator
+from repro.baselines import GKMVSearchIndex
+from repro.core import GBKMVIndex, KMVBatchEstimator
 from repro.core.buffer import FrequentElementVocabulary
 from repro.core.gbkmv import GBKMVSketch
 from repro.core.gkmv import GKMVSketch
 from repro.core.kmv import KMVSketch
-from repro.core.store import ColumnarSketchStore
 from repro.hashing import UnitHash
 
 
@@ -43,15 +43,22 @@ class TestExactSketches:
         assert a.union_size_estimate(b) == 4.0
 
     def test_batched_exact_pairs_match_scalar(self, hasher):
+        # At the full budget every G-KMV sketch is exact: the engine's
+        # score is the exact overlap over |Q|, as the scalar estimator's.
         records = [{"a", "b"}, {"b", "c", "d"}, {"e"}]
-        store = ColumnarSketchStore(signature_bits=0)
-        for record in records:
-            sketch = GKMVSketch.from_record(record, threshold=1.0, hasher=hasher)
-            store.append(sketch.values, 0, sketch.record_size, sketch.record_size)
-        estimator = GKMVBatchEstimator(store)
-        query = GKMVSketch.from_record({"b", "d", "e"}, threshold=1.0, hasher=hasher)
-        batch = estimator.intersection_many(query.values, query.record_size)
-        assert batch.tolist() == [1.0, 2.0, 1.0]
+        index = GKMVSearchIndex.build(records, space_fraction=1.0, hasher=hasher)
+        query = {"b", "d", "e"}
+        query_sketch = GKMVSketch.from_record(query, index.threshold, hasher)
+        assert query_sketch.is_exact
+        expected = [
+            query_sketch.intersection_size_estimate(
+                GKMVSketch.from_record(record, index.threshold, hasher)
+            )
+            for record in records
+        ]
+        assert expected == [1.0, 2.0, 1.0]
+        hits = index.search_many([query], 0.0)[0]
+        assert sorted(hits) == [(0, 1.0 / 3), (1, 2.0 / 3), (2, 1.0 / 3)]
 
 
 class TestEmptyRecords:
@@ -84,20 +91,38 @@ class TestEmptyRecords:
         assert sketch.union_size_estimate(other) == 3.0
 
     def test_batched_empty_query_values(self, hasher):
-        store = ColumnarSketchStore(signature_bits=0)
-        sketch = GKMVSketch.from_record(["a", "b"], threshold=1.0, hasher=hasher)
-        store.append(sketch.values, 0, sketch.record_size, sketch.record_size)
-        estimator = GKMVBatchEstimator(store)
-        batch = estimator.intersection_many(np.empty(0, dtype=np.float64), 0)
-        # Empty-but-exact query against an exact record: exact overlap of 0.
-        assert batch.tolist() == [0.0]
+        # A query none of whose hashes falls below the global threshold
+        # keeps no sketch value: every record scores 0, as the scalar
+        # estimator says.
+        records = [[f"r{row}-{column}" for column in range(12)] for row in range(20)]
+        index = GKMVSearchIndex.build(records, space_fraction=0.2, hasher=hasher)
+        query = [
+            element
+            for element in (f"fresh-{position}" for position in range(200))
+            if hasher(element) > index.threshold
+        ][:5]
+        assert len(query) == 5
+        query_sketch = GKMVSketch.from_record(query, index.threshold, hasher)
+        assert query_sketch.size == 0 and not query_sketch.is_exact
+        for record in records:
+            record_sketch = GKMVSketch.from_record(record, index.threshold, hasher)
+            assert query_sketch.intersection_size_estimate(record_sketch) == 0.0
+        hits = index.search_many([query], 0.0)[0]
+        assert hits == [(record_id, 0.0) for record_id in range(len(records))]
 
     def test_kmv_batch_empty_rows(self, hasher):
         estimator = KMVBatchEstimator.from_value_rows(
             [np.empty(0, dtype=np.float64)], [0], k=4
         )
         query = KMVSketch.from_record(["x", "y"], k=4, hasher=hasher)
-        assert estimator.intersection_many(query.values, query.record_size).tolist() == [0.0]
+        values = np.asarray(query.values)
+        estimates = estimator.intersection_workload_block(
+            values[np.newaxis, :],
+            np.array([values.size]),
+            np.array([query.is_exact]),
+            estimator.match_workload([values]),
+        )
+        assert estimates.tolist() == [[0.0]]
 
 
 class TestMismatchedHashers:

@@ -35,9 +35,14 @@ def _dense_counts(store, queries):
 
 
 def _per_query_counts(store, queries):
-    """One CSR-merge ``intersection_counts`` pass per query."""
+    """``|L_Q ∩ L_X|`` per (query, record) by Python set intersection.
+
+    For stores without deletes, where record ``i`` is physical row ``i``.
+    """
+    rows = [set(store.row_values(record_id).tolist()) for record_id in range(store.num_rows)]
     return np.array(
-        [store.intersection_counts(query) for query in queries], dtype=np.int64
+        [[len(set(query.tolist()) & row) for row in rows] for query in queries],
+        dtype=np.int64,
     ).reshape(len(queries), store.num_rows)
 
 

@@ -162,11 +162,6 @@ class TestEvaluateDynamicStream:
             assert evaluation.num_operations == 60
             assert 0.0 <= evaluation.accuracy.f1 <= 1.0
 
-    def test_dynamic_searcher_protocol(self):
-        from repro.evaluation import DynamicSearcher
-
-        assert isinstance(GBKMVIndex.build([["a", "b"]], space_fraction=1.0), DynamicSearcher)
-
     def test_coalesced_replay_is_equivalent(self, zipf_records):
         # The write-buffer replay must score the stream identically to
         # the per-operation replay (writes coalesce through the serving
@@ -189,26 +184,6 @@ class TestEvaluateDynamicStream:
         assert batched.num_inserts == per_op.num_inserts
         assert batched.num_deletes == per_op.num_deletes
         assert batched.num_queries == per_op.num_queries
-
-    def test_batch_inserts_is_a_deprecated_alias(self, zipf_records):
-        workload = build_dynamic_workload(
-            zipf_records[:100], threshold=0.5, num_operations=60, seed=11
-        )
-        aliased_index = GBKMVIndex.build(
-            list(workload.initial_records), space_fraction=0.5
-        )
-        direct_index = GBKMVIndex.build(
-            list(workload.initial_records), space_fraction=0.5
-        )
-        with pytest.warns(DeprecationWarning, match="coalesce_writes"):
-            aliased = evaluate_dynamic_stream(
-                "GB-KMV", aliased_index, workload, batch_inserts=True
-            )
-        direct = evaluate_dynamic_stream(
-            "GB-KMV", direct_index, workload, coalesce_writes=True
-        )
-        assert aliased.accuracy == direct.accuracy
-        assert aliased.num_inserts == direct.num_inserts
 
     def test_coalesce_writes_without_insert_many_falls_back(self, zipf_records):
         workload = build_dynamic_workload(

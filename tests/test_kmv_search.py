@@ -6,6 +6,7 @@ import pytest
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
+from repro.core import GBKMVIndex
 from repro.exact import BruteForceSearcher
 
 
@@ -72,12 +73,23 @@ class TestGKMVSearchIndex:
     def test_wraps_zero_buffer_gbkmv(self, zipf_records):
         records = zipf_records[:100]
         index = GKMVSearchIndex.build(records, space_fraction=0.1)
-        assert index.inner.buffer_size == 0
+        assert index.buffer_size == 0
         assert index.num_records == 100
         assert len(index) == 100
         assert 0.0 < index.threshold <= 1.0
         assert index.space_fraction() <= 0.11
         assert index.space_in_values() > 0
+
+    @pytest.mark.parametrize("layout", ["npz", "dir"])
+    def test_load_rejects_a_buffered_snapshot(self, zipf_records, tmp_path, layout):
+        # Restoring a buffered GB-KMV index as G-KMV would report GB-KMV
+        # numbers under the G-KMV label.
+        path = tmp_path / "buffered"
+        GBKMVIndex.build(zipf_records[:50], buffer_size=4).save(path, layout=layout)
+        if layout == "npz":
+            path = path.with_suffix(".npz")
+        with pytest.raises(ConfigurationError, match="buffer size 4"):
+            GKMVSearchIndex.load(path)
 
     def test_exact_when_budget_is_full(self, tiny_records, example_query):
         index = GKMVSearchIndex.build(tiny_records, space_fraction=1.0)

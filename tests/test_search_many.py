@@ -8,7 +8,7 @@ from repro._errors import ConfigurationError
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
 from repro.core import GBKMVIndex
 from repro.datasets import sample_queries
-from repro.evaluation import BatchSearcher, evaluate_search_method, exact_result_sets
+from repro.evaluation import evaluate_search_method, exact_result_sets
 
 
 def _as_pairs(results):
@@ -75,11 +75,6 @@ class TestSearchManyValidation:
 
 
 class TestHarnessBatchedPath:
-    def test_protocol_detection(self, zipf_records):
-        index = GBKMVIndex.build(zipf_records[:50], space_fraction=0.2)
-        assert isinstance(index, BatchSearcher)
-        assert isinstance(KMVSearchIndex.build(zipf_records[:50]), BatchSearcher)
-
     def test_batched_and_looped_agree_on_accuracy(self, zipf_records, workload):
         records = zipf_records[:150]
         queries = workload[:6]

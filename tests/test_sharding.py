@@ -16,10 +16,12 @@ from repro.api import (
     SearchResult,
     ShardedConfig,
     SimilarityIndex,
+    available_backends,
     create_index,
     open_index,
     register_backend,
 )
+from repro.api import registry
 from repro.api.config import IndexConfig
 from repro.core.index import GBKMVIndex
 from repro.hashing import mix64
@@ -477,8 +479,20 @@ class _ToySetBackend(SimilarityIndex):
         return sum(1 for record in self._records if record is not None)
 
 
-def test_generic_dynamic_backend_shards_exactly():
+@pytest.fixture
+def toy_backend(monkeypatch):
+    """Register ``_ToySetBackend`` for one test, then restore the registry.
+
+    The built-in backends load first, so the copied registry holds them
+    and the restored one still does.
+    """
+    available_backends()
+    monkeypatch.setattr(registry, "_BACKENDS", dict(registry._BACKENDS))
     register_backend(_ToySetBackend)
+
+
+@pytest.mark.usefixtures("toy_backend")
+def test_generic_dynamic_backend_shards_exactly():
     records, queries = _dataset(120), _queries()
     unsharded = _ToySetBackend.from_records(records)
     sharded = create_index(
@@ -502,8 +516,8 @@ def test_generic_dynamic_backend_shards_exactly():
         sharded.save("nowhere")
 
 
+@pytest.mark.usefixtures("toy_backend")
 def test_generic_backend_rejects_empty_shards():
-    register_backend(_ToySetBackend)
     with pytest.raises(ConfigurationError, match="empty"):
         create_index(
             "sharded",
@@ -515,11 +529,8 @@ def test_generic_backend_rejects_empty_shards():
 # ------------------------------------------------------- parallel build
 def _shard_state(shard):
     """A shard's sketch state as comparable arrays, per inner backend."""
-    if isinstance(shard, GBKMVIndex):
+    if isinstance(shard, GBKMVIndex):  # gbkmv, and gkmv as its subclass
         return shard.store.state_arrays()
-    inner = getattr(shard, "inner", None)
-    if isinstance(inner, GBKMVIndex):
-        return inner.store.state_arrays()
     # KMV baseline: the value rows and record sizes are the state.
     return {
         "rows": shard._value_rows,

@@ -110,10 +110,10 @@ class TestInvalidation:
     def test_append_after_finalize_invalidates_caches(self):
         store = _store_with_rows([([0.1, 0.4], 0b1, 2, 2)])
         store.finalize()
-        first = store.intersection_counts(np.array([0.1]))
+        first = _join_counts(store, [0.1])
         assert first.tolist() == [1]
         store.append(np.array([0.1, 0.2]), 0b1, 2, 3)
-        second = store.intersection_counts(np.array([0.1]))
+        second = _join_counts(store, [0.1])
         assert second.tolist() == [1, 1]
         assert _overlap(store, 0b1).tolist() == [1, 1]
 
@@ -125,7 +125,7 @@ class TestInvalidation:
         store.truncate_values(0.45)
         assert store.values.tolist() == [0.1, 0.4]
         assert store.offsets.tolist() == [0, 2, 2, 2]
-        assert store.intersection_counts(np.array([0.4, 0.5])).tolist() == [1, 0, 0]
+        assert _join_counts(store, [0.4, 0.5]).tolist() == [1, 0, 0]
 
 
 def _random_rows(rng, count, max_len=12):
@@ -361,13 +361,11 @@ class TestKernels:
         query = np.unique(
             np.concatenate([rows[4][0], rows[9][0], rng.random(5)])
         )
-        counts = store.intersection_counts(query)
         joined = _join_counts(store, query)
         expected = [
             len(set(values.tolist()) & set(query.tolist()))
             for values, *_rest in rows
         ]
-        assert counts.tolist() == expected
         assert joined.tolist() == expected
 
     def test_signature_overlap_matches_bit_counting(self):
@@ -382,7 +380,7 @@ class TestKernels:
 
     def test_empty_store_kernels(self):
         store = ColumnarSketchStore(signature_bits=4)
-        assert store.intersection_counts(np.array([0.5])).size == 0
+        assert _join_counts(store, [0.5]).size == 0
         assert _overlap(store, 0b1).size == 0
 
 
