@@ -16,14 +16,18 @@ The central objects are:
     Algorithm 1 (construction) and Algorithm 2 (containment similarity
     search) over a whole dataset, including the cost-model-driven choice
     of buffer size.
+``SketchStoreIndex``
+    What every sketch family's index shares — the store, the dynamic
+    operations, the query engine and the snapshots.  ``GBKMVIndex`` and
+    the plain-KMV baseline derive from it.
 ``ColumnarSketchStore``
     Flat columnar storage of every record's sketch state (CSR residual
     values, packed signature bitmaps, parallel size arrays) plus the
     vectorised kernels the batched query engine is built on.
-``residual_intersection_estimates`` / ``KMVBatchEstimator``
+``residual_intersection_estimates`` / ``kmv_intersection_estimates``
     Whole-workload versions of the G-KMV and plain-KMV intersection
-    estimators behind the two query engines, bitwise identical to the
-    per-sketch methods.
+    estimators (Equations 25 and 10) over the engine's value-sharing
+    pairs, bitwise identical to the per-sketch methods.
 """
 
 from repro.core.kmv import KMVSketch
@@ -56,18 +60,19 @@ from repro.core.cost_model import (
     residual_threshold_from_hashes,
 )
 from repro.core.store import ColumnarSketchStore
-from repro.core.batched import KMVBatchEstimator, residual_intersection_estimates
+from repro.core.batched import kmv_intersection_estimates, residual_intersection_estimates
 from repro.core.index import (
     DEFAULT_ROW_BLOCK_SIZE,
     GBKMVIndex,
     IndexStatistics,
     SearchResult,
+    SketchStoreIndex,
     WorkloadExecutionStats,
 )
 
 __all__ = [
     "ColumnarSketchStore",
-    "KMVBatchEstimator",
+    "kmv_intersection_estimates",
     "residual_intersection_estimates",
     "IndexStatistics",
     "KMVSketch",
@@ -96,6 +101,7 @@ __all__ = [
     "residual_threshold_from_hashes",
     "vocabulary_lookup",
     "GBKMVIndex",
+    "SketchStoreIndex",
     "SearchResult",
     "DEFAULT_ROW_BLOCK_SIZE",
     "WorkloadExecutionStats",

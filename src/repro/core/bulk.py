@@ -680,14 +680,19 @@ def bulk_kmv_value_rows(
     k_per_record: int,
     unique_hashes: np.ndarray | None = None,
     profile: BuildProfile | None = None,
-) -> list[np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Each record's ``k`` smallest distinct hash values, selected in bulk.
 
     The plain-KMV counterpart of :func:`bulk_sketch`: hash every unique
     fingerprint once, sort the occurrences by (record, value), dedup
     equal values within a record at segment boundaries, and keep the
-    first ``k`` survivors of each record's segment — bitwise identical to
-    ``np.unique(hash_many(record))[:k]`` per record.
+    first ``k`` survivors of each record's segment — row ``i`` is
+    bitwise identical to ``np.unique(hash_many(record_i))[:k]``.
+
+    Returns the CSR columns ``(values, lengths)`` that
+    :meth:`~repro.core.store.ColumnarSketchStore.append_bulk` takes:
+    every record's kept values, concatenated in record order, and the
+    number kept per record.
 
     ``unique_hashes`` lets a caller that already hashed
     ``flat.unique_fingerprints`` (the sharded planner hashes the global
@@ -699,7 +704,7 @@ def bulk_kmv_value_rows(
     start = time.perf_counter()
     num_records = flat.num_records
     if num_records == 0:
-        return []
+        return np.empty(0, dtype=np.float64), np.empty(0, dtype=np.int64)
     record_of = np.repeat(
         np.arange(num_records, dtype=np.int64), flat.record_sizes
     )
@@ -713,12 +718,6 @@ def bulk_kmv_value_rows(
         offsets[:-1], lengths
     )
     values = values[ranks < k_per_record]
-    kept_lengths = np.minimum(lengths, k_per_record)
-    splits = np.cumsum(kept_lengths, dtype=np.int64)[:-1]
-    # Copies, not views: np.split views would all pin the whole batch
-    # buffer through their .base, so one surviving row after heavy
-    # deletes would keep the entire build's memory alive.
-    rows = [row.copy() for row in np.split(values, splits)]
     if profile is not None:
         profile.record(
             "sketch",
@@ -726,4 +725,4 @@ def bulk_kmv_value_rows(
             rows=num_records,
             nbytes=values.nbytes,
         )
-    return rows
+    return values, np.minimum(lengths, k_per_record)

@@ -6,6 +6,14 @@ machinery a user needs: budget accounting, a cost-model-driven buffer
 size, and full dynamic maintenance — insert, delete, update — plus
 snapshot persistence.
 
+Everything but the sketch family lives in :class:`SketchStoreIndex`, once:
+the store, the dynamic operations, the query engine and the snapshots.
+:class:`GBKMVIndex` derives from it (and G-KMV from ``GBKMVIndex``), and
+so does the plain-KMV baseline
+(:class:`~repro.baselines.kmv_search.KMVSearchIndex`); a family only
+says which hash values a record or query keeps and how a pair sharing a
+stored value is estimated.
+
 All per-record sketch state lives in a
 :class:`~repro.core.store.ColumnarSketchStore` — a segmented columnar
 layout (sealed base + mutable tail) of residual hash values with CSR
@@ -22,7 +30,7 @@ Inserts merge into the sealed segment incrementally (no wholesale
 re-sort), deletes tombstone in O(1) and compact lazily, and
 :meth:`GBKMVIndex.save` / :meth:`GBKMVIndex.load` round-trip the entire
 index state — columns, vocabulary, threshold, hasher seed — through one
-npz snapshot.
+snapshot, an npz archive or a directory of columns.
 
 Typical usage::
 
@@ -44,8 +52,10 @@ Typical usage::
 from __future__ import annotations
 
 import base64
+import dataclasses
 import json
 import time
+from abc import abstractmethod
 from collections import Counter
 from dataclasses import dataclass
 from itertools import repeat
@@ -55,7 +65,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatError
-from repro.api.config import GBKMVConfig
+from repro.api.config import GBKMVConfig, IndexConfig
 from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import (
     SNAPSHOT_MANIFEST,
@@ -129,7 +139,7 @@ class WorkloadExecutionStats:
     """Observed footprint of one engine call (for benchmarks/tests).
 
     ``estimator_pairs`` counts the live (query, row) pairs sharing a
-    stored value, the only pairs the Equation-25 estimator sees.
+    stored value, the only pairs the family's estimator sees.
     ``swept_queries`` counts the queries the blocked signature sweep
     visited at all, in blocks of ``row_block_size`` rows (the size used,
     derived when the caller left it to the default).  ``num_blocks`` and
@@ -265,6 +275,21 @@ def _decode_elements(encoded: Sequence[Sequence[object]]) -> list[object]:
     return decoded
 
 
+def _json_payload(path, data, key: str, backend_id: str) -> dict:
+    """The JSON metadata stored under ``key`` of an open npz snapshot."""
+    if key not in data.files:
+        raise SnapshotFormatError(
+            f"{path!r} is not a {backend_id} index snapshot (no {key} payload); "
+            "use repro.api.open_index for other backends"
+        )
+    try:
+        return json.loads(str(data[key][()]))
+    except json.JSONDecodeError as error:
+        raise SnapshotFormatError(
+            f"malformed {backend_id} snapshot metadata: {error}"
+        ) from error
+
+
 @dataclass(frozen=True)
 class _Workload:
     """A workload reduced to the per-query arrays the engine consumes."""
@@ -360,435 +385,84 @@ def _merge_top(
     top_ids[slots] = all_ids[order][keep]
 
 
-class GBKMVIndex(SimilarityIndex):
-    """GB-KMV sketches in columnar storage plus a batched query engine.
+class SketchStoreIndex(SimilarityIndex):
+    """The half of a sketch index that every sketch family shares.
 
-    Build with :meth:`build` (which chooses the buffer size via the cost
-    model unless one is supplied) or, through the unified
-    :mod:`repro.api` surface, with :meth:`from_records` — rather than
-    calling ``__init__`` directly.
+    The families — GB-KMV in :class:`GBKMVIndex` (G-KMV is its
+    zero-buffer subclass) and plain KMV in
+    :class:`~repro.baselines.kmv_search.KMVSearchIndex` — differ only in
+    which hash values a record or query keeps and in how a pair sharing
+    a stored value is estimated.  Everything else exists here, once: the
+    :class:`~repro.core.store.ColumnarSketchStore` that owns every row
+    (stable ids, tombstones, compaction), the dynamic operations, the
+    pair-then-sweep query engine and the snapshot I/O.  A family
+    supplies the hooks below.
     """
 
-    backend_id = "gbkmv"
-    config_type = GBKMVConfig
     capabilities = Capabilities(
         dynamic=True, batched=True, persistent=True, exact=False, scored=True
     )
 
-    def __init__(
-        self,
-        vocabulary: FrequentElementVocabulary,
-        threshold: float,
-        hasher: UnitHash,
-        budget: float,
-    ) -> None:
-        self._vocabulary = vocabulary
-        self._threshold = float(threshold)
+    def __init__(self, hasher: UnitHash, budget: float, signature_bits: int) -> None:
         self._hasher = hasher
         self._budget = float(budget)
-        self._store = ColumnarSketchStore(signature_bits=vocabulary.size)
+        self._store = ColumnarSketchStore(signature_bits=signature_bits)
         #: Footprint of the most recent fused workload pass (``search_many``
         #: / ``top_k_many``), or ``None`` before the first one.
         self.last_workload_stats: WorkloadExecutionStats | None = None
-        #: Per-stage wall-clock breakdown of the bulk build that produced
-        #: this index, or ``None`` when no bulk build ran.
-        self.last_build_profile: BuildProfile | None = None
+
+    # ---------------------------------------------------------- family hooks
+    @abstractmethod
+    def _split(self, record: Iterable[object]) -> tuple[int, list]:
+        """A record's buffer bitmap and its distinct elements outside the buffer."""
+
+    @abstractmethod
+    def _keep(self, hashes: np.ndarray, num_elements: int) -> tuple[np.ndarray, bool]:
+        """The values kept of ``num_elements`` elements' sorted distinct hashes,
+        and whether they are all of them (an exact sketch)."""
+
+    @abstractmethod
+    def _ingest_bulk(self, flat: FlatRecords) -> np.ndarray:
+        """Sketch a flattened batch in bulk and append it; returns its ids."""
+
+    @abstractmethod
+    def _residual_estimates(
+        self,
+        workload: _Workload,
+        query_idx: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Intersection estimates, buffer aside, of pairs sharing ``counts`` values."""
+
+    @abstractmethod
+    def _snapshot_meta(self) -> dict:
+        """The family's parameters a snapshot records (JSON-safe)."""
+
+    @classmethod
+    @abstractmethod
+    def _from_snapshot_meta(cls, meta: dict) -> "SketchStoreIndex":
+        """An empty index under the parameters :meth:`_snapshot_meta` wrote."""
 
     # ------------------------------------------------------------------ build
+    @classmethod
+    def from_records(
+        cls, records: Sequence[Iterable[object]], config: IndexConfig | None = None
+    ) -> "SketchStoreIndex":
+        """:mod:`repro.api` entry point: :meth:`build` under a typed config.
+
+        Every field of a sketch family's config is the :meth:`build`
+        parameter of the same name.
+        """
+        config = cls.resolve_config(config)
+        return cls.build(records, **dataclasses.asdict(config))
+
     @staticmethod
     def _check_build_method(method: str) -> None:
         if method not in ("bulk", "per-record"):
             raise ConfigurationError(
                 f"unknown construction method {method!r}; use 'bulk' or 'per-record'"
             )
-
-    @classmethod
-    def build(
-        cls,
-        records: Sequence[Iterable[object]],
-        space_fraction: float = 0.10,
-        space_budget: float | None = None,
-        buffer_size: int | str = "auto",
-        hasher: UnitHash | None = None,
-        seed: int = 0,
-        cost_model_pair_sample: int = 256,
-        method: str = "bulk",
-    ) -> "GBKMVIndex":
-        """Algorithm 1: construct the GB-KMV index of a dataset.
-
-        Parameters
-        ----------
-        records:
-            The dataset ``S``; each record is an iterable of elements.
-        space_fraction:
-            Space budget as a fraction of the dataset size (total number
-            of per-record distinct elements), the measure used throughout
-            the paper's evaluation.  Ignored when ``space_budget`` is given.
-        space_budget:
-            Absolute budget ``b`` in signature-value units.
-        buffer_size:
-            Either an explicit ``r`` or ``"auto"`` to let the cost model of
-            Section IV-C6 choose it.
-        hasher:
-            Hash function shared by all sketches; defaults to a fixed-seed
-            :class:`~repro.hashing.UnitHash` derived from ``seed``.
-        seed:
-            Seed for the default hasher and the cost model sampling.
-        cost_model_pair_sample:
-            Number of record pairs the cost model averages over.
-        method:
-            ``"bulk"`` (default) runs the vectorised whole-dataset
-            pipeline of :mod:`repro.core.bulk` — one fingerprint pass,
-            ``np.unique`` frequency counting, bulk signature packing and
-            one staged-batch store append.  ``"per-record"`` is the
-            historical record-at-a-time path, kept verbatim as the
-            benchmark baseline; both produce bitwise-identical indexes.
-        """
-        cls._check_build_method(method)
-        if method == "per-record":
-            return cls._build_per_record(
-                records,
-                space_fraction=space_fraction,
-                space_budget=space_budget,
-                buffer_size=buffer_size,
-                hasher=hasher,
-                seed=seed,
-                cost_model_pair_sample=cost_model_pair_sample,
-            )
-        profile = BuildProfile()
-        flat = flatten_records(records, profile=profile)
-        params = cls.plan_parameters(
-            flat,
-            space_fraction=space_fraction,
-            space_budget=space_budget,
-            buffer_size=buffer_size,
-            hasher=hasher,
-            seed=seed,
-            cost_model_pair_sample=cost_model_pair_sample,
-            profile=profile,
-        )
-        index = cls(
-            vocabulary=params.vocabulary,
-            threshold=params.threshold,
-            hasher=params.hasher,
-            budget=params.budget,
-        )
-        index._ingest_bulk(
-            flat,
-            lookup=params.lookup,
-            unique_hashes=params.unique_hashes,
-            profile=profile,
-        )
-        index.last_build_profile = profile
-        return index
-
-    @classmethod
-    def plan_parameters(
-        cls,
-        flat: FlatRecords,
-        space_fraction: float = 0.10,
-        space_budget: float | None = None,
-        buffer_size: int | str = "auto",
-        hasher: UnitHash | None = None,
-        seed: int = 0,
-        cost_model_pair_sample: int = 256,
-        profile: BuildProfile | None = None,
-    ) -> "PlannedParameters":
-        """Algorithm 1's parameter derivation, without the ingest.
-
-        Runs the global derivation — space budget, cost-model buffer
-        sizing, vocabulary selection, residual threshold ``τ`` — over an
-        already-flattened dataset and returns the pinned parameters
-        instead of a built index.  :meth:`build` is exactly this followed
-        by one bulk ingest; the sharded backend runs it once over the
-        *full* dataset and then sketches every shard with
-        :meth:`from_parameters`, which is what makes per-shard sketches
-        (and merged search results) bitwise identical to the unsharded
-        index.
-        """
-        if hasher is None:
-            hasher = UnitHash(seed=seed)
-        budget = resolve_space_budget(
-            flat.total_elements, space_fraction, space_budget
-        )
-
-        # np.unique over the per-record-distinct fingerprint column *is*
-        # the Counter of the per-record path: each unique fingerprint's
-        # occurrence count equals its containing-record count.
-        counts = flat.counts
-        if buffer_size == "auto":
-            # The pair-sampled buffer sizing is the one planning stage that
-            # is pure Python + small-array work; time it as its own stage
-            # so the profile accounts for the full build wall clock.
-            start = time.perf_counter()
-            sizing = choose_buffer_size(
-                flat.record_sizes,
-                counts.astype(np.float64),
-                budget,
-                pair_sample=cost_model_pair_sample,
-                seed=seed,
-            )
-            if profile is not None:
-                profile.record(
-                    "cost_model",
-                    time.perf_counter() - start,
-                    rows=flat.num_records,
-                )
-            chosen_r = sizing.buffer_size
-        else:
-            chosen_r = int(buffer_size)
-            if chosen_r < 0:
-                raise ConfigurationError("buffer_size must be non-negative")
-
-        vocabulary = select_vocabulary(flat, chosen_r, profile=profile)
-        buffer_cost = flat.num_records * vocabulary.size / BITS_PER_SIGNATURE_UNIT
-        residual_budget = max(budget - buffer_cost, 0.0)
-        # The vocabulary's elements are exactly representatives of unique
-        # fingerprints, so the residual split over uniques is a
-        # fingerprint-membership mask — no mapping materialisation.
-        start = time.perf_counter()
-        lookup = vocabulary_lookup(vocabulary)
-        residual_unique = ~lookup.member_mask(flat.unique_fingerprints)
-        unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
-        threshold = residual_threshold_from_hashes(
-            unique_hashes[residual_unique],
-            counts[residual_unique].astype(np.float64),
-            residual_budget,
-        )
-        if profile is not None:
-            profile.record(
-                "threshold",
-                time.perf_counter() - start,
-                rows=int(np.count_nonzero(residual_unique)),
-            )
-        return PlannedParameters(
-            vocabulary=vocabulary,
-            threshold=threshold,
-            hasher=hasher,
-            budget=budget,
-            lookup=lookup,
-            unique_hashes=unique_hashes,
-        )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Iterable[object]],
-        config: GBKMVConfig | None = None,
-    ) -> "GBKMVIndex":
-        """:mod:`repro.api` entry point: :meth:`build` under a typed config."""
-        config = cls.resolve_config(config)
-        return cls.build(
-            records,
-            space_fraction=config.space_fraction,
-            space_budget=config.space_budget,
-            buffer_size=config.buffer_size,
-            seed=config.seed,
-            cost_model_pair_sample=config.cost_model_pair_sample,
-            method=config.method,
-        )
-
-    @classmethod
-    def _build_per_record(
-        cls,
-        records: Sequence[Iterable[object]],
-        space_fraction: float,
-        space_budget: float | None,
-        buffer_size: int | str,
-        hasher: UnitHash | None,
-        seed: int,
-        cost_model_pair_sample: int,
-    ) -> "GBKMVIndex":
-        """The historical record-at-a-time Algorithm 1 (benchmark baseline).
-
-        Kept verbatim so ``BENCH_bulk_build`` measures the bulk pipeline
-        against the real pre-bulk construction cost, and so the bitwise
-        identity of the two paths stays testable.
-        """
-        materialized = [set(record) for record in records]
-        if not materialized:
-            raise EmptyDatasetError("cannot build an index over an empty dataset")
-        if any(len(record) == 0 for record in materialized):
-            raise ConfigurationError("records must be non-empty sets of elements")
-        if hasher is None:
-            hasher = UnitHash(seed=seed)
-
-        record_sizes = np.array([len(r) for r in materialized], dtype=np.int64)
-        budget = resolve_space_budget(
-            int(record_sizes.sum()), space_fraction, space_budget
-        )
-
-        frequencies: Counter = Counter()
-        for record in materialized:
-            frequencies.update(record)
-
-        if buffer_size == "auto":
-            sizing = choose_buffer_size(
-                record_sizes,
-                np.array(list(frequencies.values()), dtype=np.float64),
-                budget,
-                pair_sample=cost_model_pair_sample,
-                seed=seed,
-            )
-            chosen_r = sizing.buffer_size
-        else:
-            chosen_r = int(buffer_size)
-            if chosen_r < 0:
-                raise ConfigurationError("buffer_size must be non-negative")
-
-        vocabulary = FrequentElementVocabulary.from_frequencies(frequencies, chosen_r)
-        buffer_cost = len(materialized) * vocabulary.size / BITS_PER_SIGNATURE_UNIT
-        residual_budget = max(budget - buffer_cost, 0.0)
-        residual_frequencies = {
-            element: count
-            for element, count in frequencies.items()
-            if element not in vocabulary
-        }
-        threshold = residual_threshold(residual_frequencies, residual_budget, hasher)
-
-        index = cls(
-            vocabulary=vocabulary,
-            threshold=threshold,
-            hasher=hasher,
-            budget=budget,
-        )
-        for record in materialized:
-            index._add_record(record)
-        return index
-
-    @classmethod
-    def from_parameters(
-        cls,
-        records: Sequence[Iterable[object]],
-        vocabulary: FrequentElementVocabulary,
-        threshold: float,
-        hasher: UnitHash,
-        budget: float,
-        method: str = "bulk",
-    ) -> "GBKMVIndex":
-        """Sketch a dataset under *pinned* parameters (no cost model).
-
-        The rebuild primitive of the dynamic-data story: given the
-        vocabulary, threshold and hasher of an existing index, produce a
-        freshly constructed index whose sketches — and therefore search
-        results — are bitwise identical to what incremental maintenance
-        of the original index yields.  Also the baseline the
-        ``test_dynamic_store`` benchmark charges for rebuilding from
-        scratch on every batch of insertions; ``method`` picks the bulk
-        pipeline (default) or the historical per-record loop.
-        """
-        cls._check_build_method(method)
-        index = cls(
-            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
-        )
-        if method == "bulk":
-            profile = BuildProfile()
-            index._ingest_bulk(
-                flatten_records(records, profile=profile), profile=profile
-            )
-            index.last_build_profile = profile
-        else:
-            for record in records:
-                materialized = set(record)
-                if not materialized:
-                    raise ConfigurationError(
-                        "records must be non-empty sets of elements"
-                    )
-                index._add_record(materialized)
-        return index
-
-    @classmethod
-    def from_flat(
-        cls,
-        flat: FlatRecords,
-        vocabulary: FrequentElementVocabulary,
-        threshold: float,
-        hasher: UnitHash,
-        budget: float,
-        lookup: VocabularyLookup | None = None,
-        unique_hashes: np.ndarray | None = None,
-        profile: BuildProfile | None = None,
-    ) -> "GBKMVIndex":
-        """Sketch an already-flattened dataset under pinned parameters.
-
-        The flatten-once rebuild primitive: :meth:`from_parameters`
-        without the re-flatten.  The sharded planner flattens (and
-        fingerprints) the full dataset exactly once, slices per-shard
-        :func:`~repro.core.bulk.slice_flat_records` views out of it, and
-        hands each view here together with the once-planned ``lookup``
-        and ``unique_hashes`` — so neither hashing nor the frequency
-        pass ever runs twice.  ``flat`` may be such a slice: only its
-        per-occurrence columns and ``inverse``-into-``unique_hashes``
-        contract are consumed.
-        """
-        index = cls(
-            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
-        )
-        index._ingest_bulk(
-            flat, lookup=lookup, unique_hashes=unique_hashes, profile=profile
-        )
-        index.last_build_profile = profile
-        return index
-
-    def _sketch_parts(self, record: set) -> tuple[int, np.ndarray, int]:
-        """Split a record into (buffer mask, kept residual values, residual size)."""
-        buffer, residual_elements = self._vocabulary.split_record(record)
-        if residual_elements:
-            hashes = np.unique(self._hasher.hash_many(residual_elements))
-            kept = hashes[hashes <= self._threshold]
-        else:
-            kept = np.empty(0, dtype=np.float64)
-        return buffer.mask, kept, len(residual_elements)
-
-    def _add_record(self, record: set) -> int:
-        """Insert one record's sketch row; returns its record id."""
-        mask, kept, residual_size = self._sketch_parts(record)
-        return self._store.append(
-            values=kept,
-            mask=mask,
-            residual_record_size=residual_size,
-            record_size=len(record),
-        )
-
-    def _ingest_bulk(
-        self,
-        flat: FlatRecords,
-        lookup=None,
-        unique_hashes=None,
-        profile: BuildProfile | None = None,
-    ) -> np.ndarray:
-        """Sketch a flattened batch in bulk and append it in one staged merge.
-
-        Returns the assigned record ids.  Falls back to the per-record
-        path when the vocabulary has an internal fingerprint collision
-        (the one case the bulk membership lookup cannot resolve).
-        """
-        if lookup is None:
-            try:
-                lookup = vocabulary_lookup(self._vocabulary)
-            except FingerprintCollisionError:
-                ids = [
-                    self._add_record(set(flat.record_elements(position)))
-                    for position in range(flat.num_records)
-                ]
-                return np.asarray(ids, dtype=np.int64)
-        sketches = bulk_sketch(
-            flat,
-            lookup,
-            self._threshold,
-            self._hasher,
-            self._store.num_words,
-            unique_hashes=unique_hashes,
-            profile=profile,
-        )
-        return self._store.append_bulk(
-            values=sketches.values,
-            value_lengths=sketches.value_lengths,
-            signatures=sketches.signatures,
-            residual_record_sizes=sketches.residual_record_sizes,
-            record_sizes=sketches.record_sizes,
-            profile=profile,
-        )
 
     # ------------------------------------------------------------ introspection
     @property
@@ -800,21 +474,6 @@ class GBKMVIndex(SimilarityIndex):
     def next_record_id(self) -> int:
         """The id the next :meth:`insert` will assign (sequential, never reused)."""
         return self._store.next_id
-
-    @property
-    def vocabulary(self) -> FrequentElementVocabulary:
-        """The frequent-element vocabulary shared by all sketches."""
-        return self._vocabulary
-
-    @property
-    def buffer_size(self) -> int:
-        """The buffer size ``r`` chosen or supplied at build time."""
-        return self._vocabulary.size
-
-    @property
-    def threshold(self) -> float:
-        """The global hash-value threshold ``τ``."""
-        return self._threshold
 
     @property
     def hasher(self) -> UnitHash:
@@ -848,7 +507,9 @@ class GBKMVIndex(SimilarityIndex):
         Live sketch content only: tombstoned rows stop counting the
         moment they are deleted (compaction reclaims their memory later).
         """
-        buffer_cost = self.num_records * self._vocabulary.size / BITS_PER_SIGNATURE_UNIT
+        buffer_cost = (
+            self.num_records * self._store.signature_bits / BITS_PER_SIGNATURE_UNIT
+        )
         return self._store.total_values + buffer_cost
 
     def space_fraction(self) -> float:
@@ -858,53 +519,31 @@ class GBKMVIndex(SimilarityIndex):
             return 0.0
         return self.space_in_values() / total_elements
 
-    def statistics(self) -> IndexStatistics:
-        """Summary statistics of the built index."""
-        return IndexStatistics(
-            num_records=self.num_records,
-            total_elements=int(self._store.live_record_sizes().sum()),
-            buffer_size=self.buffer_size,
-            threshold=self._threshold,
-            space_in_values=self.space_in_values(),
-            space_fraction=self.space_fraction(),
-            budget_in_values=self._budget,
-            build_profile=self.last_build_profile,
-        )
-
-    def sketch(self, record_id: int) -> GBKMVSketch:
-        """Materialise the GB-KMV sketch of an indexed record."""
-        buffer = FrequentElementBuffer(
-            self._vocabulary, self._store.mask_int(record_id)
-        )
-        residual = GKMVSketch(
-            threshold=self._threshold,
-            values=self._store.row_values(record_id),
-            record_size=self._store.residual_record_size(record_id),
-            hasher=self._hasher,
-        )
-        return GBKMVSketch(
-            buffer=buffer,
-            residual=residual,
-            record_size=self._store.record_size(record_id),
-        )
-
-    def sketches(self) -> Iterator[GBKMVSketch]:
-        """Iterate over the sketches of all live indexed records."""
-        for record_id in self._store.live_record_ids().tolist():
-            yield self.sketch(record_id)
-
     # ---------------------------------------------------------------- updates
+    def _sketch_parts(self, record: set) -> tuple[int, np.ndarray, int]:
+        """Split a record into (buffer mask, kept residual values, residual size)."""
+        mask, residual = self._split(record)
+        hashes = np.unique(self._hasher.hash_many(residual))
+        return mask, self._keep(hashes, len(residual))[0], len(residual)
+
+    def _add_record(self, record: set) -> int:
+        """Insert one record's sketch row; returns its record id."""
+        mask, kept, residual_size = self._sketch_parts(record)
+        return self._store.append(
+            values=kept,
+            mask=mask,
+            residual_record_size=residual_size,
+            record_size=len(record),
+        )
+
     def insert(self, record: Iterable[object]) -> int:
-        """Insert a new record under the current vocabulary and threshold.
+        """Insert a new record under the index's current sketch parameters.
 
         Returns the new record id.  The record lands in the store's
         mutable tail segment and is merged into the sealed columns
         incrementally on the next search — no wholesale re-sort — so the
         insert is visible immediately and insert/search interleaving
-        stays cheap.  The global threshold is *not* recomputed
-        automatically; call :meth:`refit_threshold` after a batch of
-        insertions to shrink the sketches back into the budget (the
-        dynamic-data procedure described at the end of Section IV-B).
+        stays cheap.
         """
         materialized = set(record)
         if not materialized:
@@ -916,12 +555,12 @@ class GBKMVIndex(SimilarityIndex):
 
         The batch is sketched with the vectorised pipeline of
         :mod:`repro.core.bulk` (one fingerprint pass, one unique-hash
-        pass, bulk signature packing) and lands in the segmented store
-        through one staged-batch merge — the value→record join index
-        absorbs the whole batch with a single two-run merge.  Record ids,
-        store state and every later search result are identical to
-        looping :meth:`insert` over the batch; the wall-clock cost is
-        what :func:`~repro.core.bulk` removes.
+        pass) and lands in the segmented store through one staged-batch
+        merge — the value→record join index absorbs the whole batch with
+        a single two-run merge.  Record ids, store state and every later
+        search result are identical to looping :meth:`insert` over the
+        batch; the wall-clock cost is what :func:`~repro.core.bulk`
+        removes.
 
         Returns the assigned record ids, in batch order.  An empty batch
         is a no-op returning ``[]``.
@@ -948,9 +587,10 @@ class GBKMVIndex(SimilarityIndex):
     def update(self, record_id: int, record: Iterable[object]) -> int:
         """Replace a record's content in place, keeping its record id.
 
-        The new version is sketched under the current vocabulary and
-        threshold (tombstone the old row + append the new one); returns
-        the unchanged record id.
+        The new version is sketched under the current parameters
+        (tombstone the old row + append the new one); returns the
+        unchanged record id.  A record that cannot be sketched leaves
+        the old version live.
         """
         materialized = set(record)
         if not materialized:
@@ -963,36 +603,6 @@ class GBKMVIndex(SimilarityIndex):
             residual_record_size=residual_size,
             record_size=len(materialized),
         )
-
-    def refit_threshold(self) -> float:
-        """Recompute ``τ`` so the index fits its budget again, shrinking sketches.
-
-        Only lowers the threshold (hash values above the new ``τ`` are
-        dropped); raising it would require access to the original records.
-        Returns the new threshold.
-
-        The refit is incremental: the store's O(1) ``total_values``
-        tracker answers the common post-``insert_many`` case — batch
-        landed, still under budget — without touching the value column
-        at all, and when the budget *is* exceeded the new ``τ`` comes
-        from a prefix cut of the incrementally merged value→record join
-        index (:meth:`~repro.core.store.ColumnarSketchStore.threshold_for_value_budget`)
-        instead of gathering and re-sorting every live value.  The
-        chosen threshold is identical to the historical full re-derive:
-        the largest distinct value whose cumulative live occurrence
-        count fits the residual budget.
-        """
-        buffer_cost = self.num_records * self._vocabulary.size / BITS_PER_SIGNATURE_UNIT
-        residual_budget = max(self._budget - buffer_cost, 0.0)
-        total_values = self._store.total_values
-        if total_values == 0 or total_values <= residual_budget:
-            return self._threshold
-        new_threshold = self._store.threshold_for_value_budget(residual_budget)
-        if new_threshold >= self._threshold:
-            return self._threshold
-        self._threshold = new_threshold
-        self._store.truncate_values(new_threshold)
-        return self._threshold
 
     # ------------------------------------------------------------ persistence
     SNAPSHOT_FORMAT_VERSION = 1
@@ -1007,23 +617,18 @@ class GBKMVIndex(SimilarityIndex):
 
         Everything :meth:`load` needs to answer queries identically is
         written: the store's columns (CSR values, signatures, size
-        columns, row ids, tombstones), the frequent-element vocabulary,
-        the global threshold ``τ``, the space budget and the hasher seed
-        — plus the format tag :func:`repro.api.open_index` dispatches
-        on, which names the class's :attr:`backend_id`.
+        columns, row ids, tombstones), the family's parameters (for
+        GB-KMV the frequent-element vocabulary, the global threshold
+        ``τ``, the space budget and the hasher seed) — plus the format
+        tag :func:`repro.api.open_index` dispatches on, which names the
+        class's :attr:`backend_id`.
 
         ``layout`` picks the on-disk shape: ``"npz"`` (default) writes a
         single compressed archive; ``"dir"`` writes a directory of raw
         per-column ``.npy`` files plus a ``manifest.json``, which is the
         only layout :meth:`load` can memory-map.
         """
-        meta = {
-            "format_version": self.SNAPSHOT_FORMAT_VERSION,
-            "threshold": self._threshold,
-            "budget": self._budget,
-            "hasher_seed": self._hasher.seed,
-            "vocabulary": _encode_elements(self._vocabulary.elements),
-        }
+        meta = {"format_version": self.SNAPSHOT_FORMAT_VERSION, **self._snapshot_meta()}
         if layout == "dir":
             self._save_directory(path, meta)
             return
@@ -1067,8 +672,9 @@ class GBKMVIndex(SimilarityIndex):
         meta = manifest.get("index_meta")
         if not isinstance(meta, dict):
             raise SnapshotFormatError(
-                f"{str(path)!r} is not a GB-KMV index snapshot (no index_meta "
-                "in its manifest); use repro.api.open_index for other backends"
+                f"{str(path)!r} is not a {cls.backend_id} index snapshot (no "
+                "index_meta in its manifest); use repro.api.open_index for "
+                "other backends"
             )
         arrays = {}
         for name in manifest.get("arrays", []):
@@ -1086,13 +692,24 @@ class GBKMVIndex(SimilarityIndex):
         return meta, arrays
 
     @classmethod
-    def load(cls, path, mmap: bool = False) -> "GBKMVIndex":
+    def _read_npz(cls, path, data) -> tuple[dict, dict]:
+        """Read an open npz snapshot back into (meta, arrays)."""
+        meta = _json_payload(path, data, "index_meta", cls.backend_id)
+        arrays = {
+            name: data[name]
+            for name in data.files
+            if name not in ("index_meta", "api_meta")
+        }
+        return meta, arrays
+
+    @classmethod
+    def load(cls, path, mmap: bool = False) -> "SketchStoreIndex":
         """Restore an index saved with :meth:`save` (either layout).
 
         The restored index answers :meth:`search` / :meth:`search_many`
-        with bitwise-identical scores (same values, same vocabulary, same
-        hasher seed ⇒ same estimator arithmetic) and keeps every dynamic
-        capability — insert, delete, update, refit — of the original.
+        with bitwise-identical scores (same values, same parameters,
+        same hasher seed ⇒ same estimator arithmetic) and keeps every
+        dynamic capability of the original.
 
         With ``mmap=True`` (directory snapshots only) the value and
         signature columns are memory-mapped read-only instead of read
@@ -1103,8 +720,8 @@ class GBKMVIndex(SimilarityIndex):
         Raises
         ------
         SnapshotFormatError
-            If the path is not a GB-KMV snapshot or was written by an
-            unsupported format version.
+            If the path is not a snapshot of this family or was written
+            by an unsupported format version.
         ConfigurationError
             If ``mmap=True`` on an npz snapshot (compressed archives
             cannot be mapped).
@@ -1119,64 +736,29 @@ class GBKMVIndex(SimilarityIndex):
                     "store compressed members and cannot be mapped"
                 )
             with np.load(path) as data:
-                if "index_meta" not in data.files:
-                    raise SnapshotFormatError(
-                        f"{path!r} is not a GB-KMV index snapshot (no "
-                        "index_meta payload); use repro.api.open_index "
-                        "for other backends"
-                    )
-                try:
-                    meta = json.loads(str(data["index_meta"][()]))
-                except json.JSONDecodeError as error:
-                    raise SnapshotFormatError(
-                        f"malformed GB-KMV snapshot metadata: {error}"
-                    ) from error
-                arrays = {
-                    name: data[name]
-                    for name in data.files
-                    if name not in ("index_meta", "api_meta")
-                }
+                meta, arrays = cls._read_npz(path, data)
         version = meta.get("format_version")
         if version != cls.SNAPSHOT_FORMAT_VERSION:
             raise SnapshotFormatError(
                 f"unsupported index snapshot version {version!r} "
                 f"(this build reads version {cls.SNAPSHOT_FORMAT_VERSION})"
             )
-        vocabulary = FrequentElementVocabulary(_decode_elements(meta["vocabulary"]))
-        index = cls(
-            vocabulary=vocabulary,
-            threshold=float(meta["threshold"]),
-            hasher=UnitHash(seed=int(meta["hasher_seed"])),
-            budget=float(meta["budget"]),
-        )
+        index = cls._from_snapshot_meta(meta)
         try:
-            index._store = ColumnarSketchStore.from_state(arrays)
+            store = ColumnarSketchStore.from_state(arrays)
         except KeyError as error:
             raise SnapshotFormatError(
-                f"GB-KMV snapshot is missing store column {error}; "
+                f"{cls.backend_id} snapshot is missing store column {error}; "
                 "the payload is truncated or from an unsupported layout"
             ) from error
-        if index._store.signature_bits != vocabulary.size:
+        if store.signature_bits != index._store.signature_bits:
             raise ConfigurationError(
-                "snapshot signature width does not match its vocabulary size"
+                "snapshot signature width does not match its buffer size"
             )
+        index._store = store
         return index
 
     # ----------------------------------------------------------------- search
-    def query_sketch(self, query: Iterable[object]) -> GBKMVSketch:
-        """Build the GB-KMV sketch of a query under the index's parameters."""
-        return GBKMVSketch.from_record(
-            query,
-            vocabulary=self._vocabulary,
-            threshold=self._threshold,
-            hasher=self._hasher,
-        )
-
-    def estimate_containment(self, query: Iterable[object], record_id: int) -> float:
-        """Estimate ``C(Q, X_record_id)`` for a single record."""
-        query_sketch = self.query_sketch(query)
-        return query_sketch.containment_estimate(self.sketch(record_id))
-
     def _prepare_workload(
         self,
         queries: Sequence[Iterable[object]],
@@ -1184,44 +766,46 @@ class GBKMVIndex(SimilarityIndex):
     ) -> _Workload:
         """Reduce a workload to the arrays the engine consumes.
 
-        Per query this keeps exactly the residual values
-        :meth:`query_sketch` keeps (hashes are per-element, so hashing
-        all residuals in one call and slicing is value-identical), but
-        the workload pays one ``hash_many`` call instead of one per query.
+        Per query this keeps exactly the values the family's sketch of
+        the query keeps (hashes are per-element, so hashing every query's
+        elements in one call and slicing is value-identical), but the
+        workload pays one ``hash_many`` call instead of one per query.
         """
         masks: list[int] = []
         residuals: list[list[object]] = []
         sizes: list[int] = []
         for position, query in enumerate(queries):
-            buffer, residual = self._vocabulary.split_record(query)
-            distinct = buffer.count + len(residual)
+            mask, residual = self._split(query)
+            distinct = mask.bit_count() + len(residual)
             if not distinct:
                 raise ConfigurationError("query must contain at least one element")
             q = distinct if query_sizes is None else int(query_sizes[position])
             if q <= 0:
                 raise ConfigurationError("query_size must be positive")
-            masks.append(buffer.mask)
+            masks.append(mask)
             residuals.append(residual)
             sizes.append(q)
-        flat = [element for residual in residuals for element in residual]
-        hashes = (
-            self._hasher.hash_many(flat) if flat else np.empty(0, dtype=np.float64)
+        hashes = self._hasher.hash_many(
+            [element for residual in residuals for element in residual]
         )
         values: list[np.ndarray] = []
+        exact: list[bool] = []
         offset = 0
         for residual in residuals:
-            unique = np.unique(hashes[offset : offset + len(residual)])
-            values.append(unique[unique <= self._threshold])
+            kept, kept_all = self._keep(
+                np.unique(hashes[offset : offset + len(residual)]), len(residual)
+            )
+            values.append(kept)
+            exact.append(kept_all)
             offset += len(residual)
-        num_values = np.array([kept.size for kept in values], dtype=np.int64)
         return _Workload(
             values=values,
             masks=masks,
-            num_values=num_values,
+            num_values=np.array([kept.size for kept in values], dtype=np.int64),
             max_values=np.array(
                 [kept[-1] if kept.size else 0.0 for kept in values], dtype=np.float64
             ),
-            exact=num_values >= np.array([len(r) for r in residuals], dtype=np.int64),
+            exact=np.array(exact, dtype=bool),
             sizes=np.array(sizes, dtype=np.float64),
         )
 
@@ -1230,13 +814,14 @@ class GBKMVIndex(SimilarityIndex):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score every live (query, row) pair that shares a stored value, once.
 
-        Only these pairs have a nonzero Equation-25 residual estimate
-        (``K∩ = 0`` estimates to exactly ``0.0`` down every branch), so
-        every other cell scores its buffer overlap alone.  Returns
-        ``(query_idx, rows, estimates)`` sorted by query, then row, with
-        ``estimates`` the full intersection estimate: the exact buffer
-        overlap plus the residual estimate, in the scalar sketch's order.
-        Cost is ``O(matches)``: nothing touches rows the queries miss.
+        Only these pairs have a nonzero residual estimate (``K∩ = 0``
+        estimates to exactly ``0.0`` down every branch of both
+        families' estimators), so every other cell scores its buffer
+        overlap alone.  Returns ``(query_idx, rows, estimates)`` sorted by
+        query, then row, with ``estimates`` the full intersection
+        estimate: the exact buffer overlap plus the family's residual
+        estimate, in the scalar sketch's order.  Cost is ``O(matches)``:
+        nothing touches rows the queries miss.
         """
         store = self._store
         query_idx, rows, counts = store.match_workload(workload.values)
@@ -1255,16 +840,7 @@ class GBKMVIndex(SimilarityIndex):
         overlap = np.zeros(rows.size, dtype=np.float64)
         for word_overlap in words.T:
             overlap += word_overlap
-        offsets = store.offsets
-        residual = residual_intersection_estimates(
-            counts,
-            offsets[rows + 1] - offsets[rows],
-            store.row_max[rows],
-            store.row_exact[rows],
-            workload.num_values[query_idx],
-            workload.max_values[query_idx],
-            workload.exact[query_idx],
-        )
+        residual = self._residual_estimates(workload, query_idx, rows, counts)
         return query_idx, rows, overlap + residual
 
     def _engine_inputs(self, workload: _Workload):
@@ -1318,14 +894,15 @@ class GBKMVIndex(SimilarityIndex):
     ) -> list[list[SearchResult]]:
         """Batched Algorithm 2: answer a whole workload in one engine call.
 
-        Every score equals the paper's per-record estimate
-        ``query_sketch(q).intersection_size_estimate(sketch(id)) / |Q|``
-        bit for bit.  The engine works in two passes:
+        Every score equals the paper's per-record estimate — the query's
+        sketch's ``intersection_size_estimate`` of the record's sketch,
+        divided by ``|Q|`` — bit for bit.  The engine works in two passes:
 
         * **Estimator pairs** — the whole workload's query values are
           resolved against the store's value→record join index in one
           ``searchsorted`` pass; every live (query, row) pair sharing a
-          stored value is scored once (buffer popcount plus Equation 25).
+          stored value is scored once (buffer popcount plus the family's
+          estimator: Equation 25 for GB-KMV, Equation 10 for plain KMV).
         * **Bounded sweep** — every other record scores its buffer
           overlap ``|H_Q ∩ H_X|`` alone, at most ``|H_Q|``.  So only the
           queries with ``|H_Q| ≥ ⌈θ·|Q|·(1 − 1e-12)⌉`` can have such hits,
@@ -1565,3 +1142,523 @@ class GBKMVIndex(SimilarityIndex):
             [top_ids[filled_queries, slots]],
             [top_scores[filled_queries, slots]],
         )
+
+
+class GBKMVIndex(SketchStoreIndex):
+    """GB-KMV sketches in columnar storage plus a batched query engine.
+
+    Build with :meth:`build` (which chooses the buffer size via the cost
+    model unless one is supplied) or, through the unified
+    :mod:`repro.api` surface, with :meth:`from_records` — rather than
+    calling ``__init__`` directly.
+    """
+
+    backend_id = "gbkmv"
+    config_type = GBKMVConfig
+
+    def __init__(
+        self,
+        vocabulary: FrequentElementVocabulary,
+        threshold: float,
+        hasher: UnitHash,
+        budget: float,
+    ) -> None:
+        super().__init__(hasher, budget, signature_bits=vocabulary.size)
+        self._vocabulary = vocabulary
+        self._threshold = float(threshold)
+        #: Per-stage wall-clock breakdown of the bulk build that produced
+        #: this index, or ``None`` when no bulk build ran.
+        self.last_build_profile: BuildProfile | None = None
+
+    # ------------------------------------------------------------------ build
+    @classmethod
+    def build(
+        cls,
+        records: Sequence[Iterable[object]],
+        space_fraction: float = 0.10,
+        space_budget: float | None = None,
+        buffer_size: int | str = "auto",
+        hasher: UnitHash | None = None,
+        seed: int = 0,
+        cost_model_pair_sample: int = 256,
+        method: str = "bulk",
+    ) -> "GBKMVIndex":
+        """Algorithm 1: construct the GB-KMV index of a dataset.
+
+        Parameters
+        ----------
+        records:
+            The dataset ``S``; each record is an iterable of elements.
+        space_fraction:
+            Space budget as a fraction of the dataset size (total number
+            of per-record distinct elements), the measure used throughout
+            the paper's evaluation.  Ignored when ``space_budget`` is given.
+        space_budget:
+            Absolute budget ``b`` in signature-value units.
+        buffer_size:
+            Either an explicit ``r`` or ``"auto"`` to let the cost model of
+            Section IV-C6 choose it.
+        hasher:
+            Hash function shared by all sketches; defaults to a fixed-seed
+            :class:`~repro.hashing.UnitHash` derived from ``seed``.
+        seed:
+            Seed for the default hasher and the cost model sampling.
+        cost_model_pair_sample:
+            Number of record pairs the cost model averages over.
+        method:
+            ``"bulk"`` (default) runs the vectorised whole-dataset
+            pipeline of :mod:`repro.core.bulk` — one fingerprint pass,
+            ``np.unique`` frequency counting, bulk signature packing and
+            one staged-batch store append.  ``"per-record"`` is the
+            historical record-at-a-time path, kept verbatim as the
+            benchmark baseline; both produce bitwise-identical indexes.
+        """
+        cls._check_build_method(method)
+        if method == "per-record":
+            return cls._build_per_record(
+                records,
+                space_fraction=space_fraction,
+                space_budget=space_budget,
+                buffer_size=buffer_size,
+                hasher=hasher,
+                seed=seed,
+                cost_model_pair_sample=cost_model_pair_sample,
+            )
+        profile = BuildProfile()
+        flat = flatten_records(records, profile=profile)
+        params = cls.plan_parameters(
+            flat,
+            space_fraction=space_fraction,
+            space_budget=space_budget,
+            buffer_size=buffer_size,
+            hasher=hasher,
+            seed=seed,
+            cost_model_pair_sample=cost_model_pair_sample,
+            profile=profile,
+        )
+        index = cls(
+            vocabulary=params.vocabulary,
+            threshold=params.threshold,
+            hasher=params.hasher,
+            budget=params.budget,
+        )
+        index._ingest_bulk(
+            flat,
+            lookup=params.lookup,
+            unique_hashes=params.unique_hashes,
+            profile=profile,
+        )
+        index.last_build_profile = profile
+        return index
+
+    @classmethod
+    def plan_parameters(
+        cls,
+        flat: FlatRecords,
+        space_fraction: float = 0.10,
+        space_budget: float | None = None,
+        buffer_size: int | str = "auto",
+        hasher: UnitHash | None = None,
+        seed: int = 0,
+        cost_model_pair_sample: int = 256,
+        profile: BuildProfile | None = None,
+    ) -> "PlannedParameters":
+        """Algorithm 1's parameter derivation, without the ingest.
+
+        Runs the global derivation — space budget, cost-model buffer
+        sizing, vocabulary selection, residual threshold ``τ`` — over an
+        already-flattened dataset and returns the pinned parameters
+        instead of a built index.  :meth:`build` is exactly this followed
+        by one bulk ingest; the sharded backend runs it once over the
+        *full* dataset and then sketches every shard with
+        :meth:`from_parameters`, which is what makes per-shard sketches
+        (and merged search results) bitwise identical to the unsharded
+        index.
+        """
+        if hasher is None:
+            hasher = UnitHash(seed=seed)
+        budget = resolve_space_budget(
+            flat.total_elements, space_fraction, space_budget
+        )
+
+        # np.unique over the per-record-distinct fingerprint column *is*
+        # the Counter of the per-record path: each unique fingerprint's
+        # occurrence count equals its containing-record count.
+        counts = flat.counts
+        if buffer_size == "auto":
+            # The pair-sampled buffer sizing is the one planning stage that
+            # is pure Python + small-array work; time it as its own stage
+            # so the profile accounts for the full build wall clock.
+            start = time.perf_counter()
+            sizing = choose_buffer_size(
+                flat.record_sizes,
+                counts.astype(np.float64),
+                budget,
+                pair_sample=cost_model_pair_sample,
+                seed=seed,
+            )
+            if profile is not None:
+                profile.record(
+                    "cost_model",
+                    time.perf_counter() - start,
+                    rows=flat.num_records,
+                )
+            chosen_r = sizing.buffer_size
+        else:
+            chosen_r = int(buffer_size)
+            if chosen_r < 0:
+                raise ConfigurationError("buffer_size must be non-negative")
+
+        vocabulary = select_vocabulary(flat, chosen_r, profile=profile)
+        buffer_cost = flat.num_records * vocabulary.size / BITS_PER_SIGNATURE_UNIT
+        residual_budget = max(budget - buffer_cost, 0.0)
+        # The vocabulary's elements are exactly representatives of unique
+        # fingerprints, so the residual split over uniques is a
+        # fingerprint-membership mask — no mapping materialisation.
+        start = time.perf_counter()
+        lookup = vocabulary_lookup(vocabulary)
+        residual_unique = ~lookup.member_mask(flat.unique_fingerprints)
+        unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
+        threshold = residual_threshold_from_hashes(
+            unique_hashes[residual_unique],
+            counts[residual_unique].astype(np.float64),
+            residual_budget,
+        )
+        if profile is not None:
+            profile.record(
+                "threshold",
+                time.perf_counter() - start,
+                rows=int(np.count_nonzero(residual_unique)),
+            )
+        return PlannedParameters(
+            vocabulary=vocabulary,
+            threshold=threshold,
+            hasher=hasher,
+            budget=budget,
+            lookup=lookup,
+            unique_hashes=unique_hashes,
+        )
+
+    @classmethod
+    def _build_per_record(
+        cls,
+        records: Sequence[Iterable[object]],
+        space_fraction: float,
+        space_budget: float | None,
+        buffer_size: int | str,
+        hasher: UnitHash | None,
+        seed: int,
+        cost_model_pair_sample: int,
+    ) -> "GBKMVIndex":
+        """The historical record-at-a-time Algorithm 1 (benchmark baseline).
+
+        Kept verbatim so ``BENCH_bulk_build`` measures the bulk pipeline
+        against the real pre-bulk construction cost, and so the bitwise
+        identity of the two paths stays testable.
+        """
+        materialized = [set(record) for record in records]
+        if not materialized:
+            raise EmptyDatasetError("cannot build an index over an empty dataset")
+        if any(len(record) == 0 for record in materialized):
+            raise ConfigurationError("records must be non-empty sets of elements")
+        if hasher is None:
+            hasher = UnitHash(seed=seed)
+
+        record_sizes = np.array([len(r) for r in materialized], dtype=np.int64)
+        budget = resolve_space_budget(
+            int(record_sizes.sum()), space_fraction, space_budget
+        )
+
+        frequencies: Counter = Counter()
+        for record in materialized:
+            frequencies.update(record)
+
+        if buffer_size == "auto":
+            sizing = choose_buffer_size(
+                record_sizes,
+                np.array(list(frequencies.values()), dtype=np.float64),
+                budget,
+                pair_sample=cost_model_pair_sample,
+                seed=seed,
+            )
+            chosen_r = sizing.buffer_size
+        else:
+            chosen_r = int(buffer_size)
+            if chosen_r < 0:
+                raise ConfigurationError("buffer_size must be non-negative")
+
+        vocabulary = FrequentElementVocabulary.from_frequencies(frequencies, chosen_r)
+        buffer_cost = len(materialized) * vocabulary.size / BITS_PER_SIGNATURE_UNIT
+        residual_budget = max(budget - buffer_cost, 0.0)
+        residual_frequencies = {
+            element: count
+            for element, count in frequencies.items()
+            if element not in vocabulary
+        }
+        threshold = residual_threshold(residual_frequencies, residual_budget, hasher)
+
+        index = cls(
+            vocabulary=vocabulary,
+            threshold=threshold,
+            hasher=hasher,
+            budget=budget,
+        )
+        for record in materialized:
+            index._add_record(record)
+        return index
+
+    @classmethod
+    def from_parameters(
+        cls,
+        records: Sequence[Iterable[object]],
+        vocabulary: FrequentElementVocabulary,
+        threshold: float,
+        hasher: UnitHash,
+        budget: float,
+        method: str = "bulk",
+    ) -> "GBKMVIndex":
+        """Sketch a dataset under *pinned* parameters (no cost model).
+
+        The rebuild primitive of the dynamic-data story: given the
+        vocabulary, threshold and hasher of an existing index, produce a
+        freshly constructed index whose sketches — and therefore search
+        results — are bitwise identical to what incremental maintenance
+        of the original index yields.  Also the baseline the
+        ``test_dynamic_store`` benchmark charges for rebuilding from
+        scratch on every batch of insertions; ``method`` picks the bulk
+        pipeline (default) or the historical per-record loop.
+        """
+        cls._check_build_method(method)
+        index = cls(
+            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
+        )
+        if method == "bulk":
+            profile = BuildProfile()
+            index._ingest_bulk(
+                flatten_records(records, profile=profile), profile=profile
+            )
+            index.last_build_profile = profile
+        else:
+            for record in records:
+                materialized = set(record)
+                if not materialized:
+                    raise ConfigurationError(
+                        "records must be non-empty sets of elements"
+                    )
+                index._add_record(materialized)
+        return index
+
+    @classmethod
+    def from_flat(
+        cls,
+        flat: FlatRecords,
+        vocabulary: FrequentElementVocabulary,
+        threshold: float,
+        hasher: UnitHash,
+        budget: float,
+        lookup: VocabularyLookup | None = None,
+        unique_hashes: np.ndarray | None = None,
+        profile: BuildProfile | None = None,
+    ) -> "GBKMVIndex":
+        """Sketch an already-flattened dataset under pinned parameters.
+
+        The flatten-once rebuild primitive: :meth:`from_parameters`
+        without the re-flatten.  The sharded planner flattens (and
+        fingerprints) the full dataset exactly once, slices per-shard
+        :func:`~repro.core.bulk.slice_flat_records` views out of it, and
+        hands each view here together with the once-planned ``lookup``
+        and ``unique_hashes`` — so neither hashing nor the frequency
+        pass ever runs twice.  ``flat`` may be such a slice: only its
+        per-occurrence columns and ``inverse``-into-``unique_hashes``
+        contract are consumed.
+        """
+        index = cls(
+            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
+        )
+        index._ingest_bulk(
+            flat, lookup=lookup, unique_hashes=unique_hashes, profile=profile
+        )
+        index.last_build_profile = profile
+        return index
+
+    def _split(self, record: Iterable[object]) -> tuple[int, list]:
+        buffer, residual = self._vocabulary.split_record(record)
+        return buffer.mask, residual
+
+    def _keep(self, hashes: np.ndarray, num_elements: int) -> tuple[np.ndarray, bool]:
+        kept = hashes[hashes <= self._threshold]
+        return kept, kept.size >= num_elements
+
+    def _ingest_bulk(
+        self,
+        flat: FlatRecords,
+        lookup=None,
+        unique_hashes=None,
+        profile: BuildProfile | None = None,
+    ) -> np.ndarray:
+        """Sketch a flattened batch in bulk and append it in one staged merge.
+
+        Returns the assigned record ids.  Falls back to the per-record
+        path when the vocabulary has an internal fingerprint collision
+        (the one case the bulk membership lookup cannot resolve).
+        """
+        if lookup is None:
+            try:
+                lookup = vocabulary_lookup(self._vocabulary)
+            except FingerprintCollisionError:
+                ids = [
+                    self._add_record(set(flat.record_elements(position)))
+                    for position in range(flat.num_records)
+                ]
+                return np.asarray(ids, dtype=np.int64)
+        sketches = bulk_sketch(
+            flat,
+            lookup,
+            self._threshold,
+            self._hasher,
+            self._store.num_words,
+            unique_hashes=unique_hashes,
+            profile=profile,
+        )
+        return self._store.append_bulk(
+            values=sketches.values,
+            value_lengths=sketches.value_lengths,
+            signatures=sketches.signatures,
+            residual_record_sizes=sketches.residual_record_sizes,
+            record_sizes=sketches.record_sizes,
+            profile=profile,
+        )
+
+    def _residual_estimates(
+        self,
+        workload: _Workload,
+        query_idx: np.ndarray,
+        rows: np.ndarray,
+        counts: np.ndarray,
+    ) -> np.ndarray:
+        """Equation 25 over the value-sharing pairs."""
+        store = self._store
+        offsets = store.offsets
+        return residual_intersection_estimates(
+            counts,
+            offsets[rows + 1] - offsets[rows],
+            store.row_max[rows],
+            store.row_exact[rows],
+            workload.num_values[query_idx],
+            workload.max_values[query_idx],
+            workload.exact[query_idx],
+        )
+
+    def _snapshot_meta(self) -> dict:
+        return {
+            "threshold": self._threshold,
+            "budget": self._budget,
+            "hasher_seed": self._hasher.seed,
+            "vocabulary": _encode_elements(self._vocabulary.elements),
+        }
+
+    @classmethod
+    def _from_snapshot_meta(cls, meta: dict) -> "GBKMVIndex":
+        return cls(
+            vocabulary=FrequentElementVocabulary(_decode_elements(meta["vocabulary"])),
+            threshold=float(meta["threshold"]),
+            hasher=UnitHash(seed=int(meta["hasher_seed"])),
+            budget=float(meta["budget"]),
+        )
+
+    # ------------------------------------------------------------ introspection
+    @property
+    def vocabulary(self) -> FrequentElementVocabulary:
+        """The frequent-element vocabulary shared by all sketches."""
+        return self._vocabulary
+
+    @property
+    def buffer_size(self) -> int:
+        """The buffer size ``r`` chosen or supplied at build time."""
+        return self._vocabulary.size
+
+    @property
+    def threshold(self) -> float:
+        """The global hash-value threshold ``τ``."""
+        return self._threshold
+
+    def statistics(self) -> IndexStatistics:
+        """Summary statistics of the built index."""
+        return IndexStatistics(
+            num_records=self.num_records,
+            total_elements=int(self._store.live_record_sizes().sum()),
+            buffer_size=self.buffer_size,
+            threshold=self._threshold,
+            space_in_values=self.space_in_values(),
+            space_fraction=self.space_fraction(),
+            budget_in_values=self._budget,
+            build_profile=self.last_build_profile,
+        )
+
+    def sketch(self, record_id: int) -> GBKMVSketch:
+        """Materialise the GB-KMV sketch of an indexed record."""
+        buffer = FrequentElementBuffer(
+            self._vocabulary, self._store.mask_int(record_id)
+        )
+        residual = GKMVSketch(
+            threshold=self._threshold,
+            values=self._store.row_values(record_id),
+            record_size=self._store.residual_record_size(record_id),
+            hasher=self._hasher,
+        )
+        return GBKMVSketch(
+            buffer=buffer,
+            residual=residual,
+            record_size=self._store.record_size(record_id),
+        )
+
+    def sketches(self) -> Iterator[GBKMVSketch]:
+        """Iterate over the sketches of all live indexed records."""
+        for record_id in self._store.live_record_ids().tolist():
+            yield self.sketch(record_id)
+
+    # ---------------------------------------------------------------- updates
+    def refit_threshold(self) -> float:
+        """Recompute ``τ`` so the index fits its budget again, shrinking sketches.
+
+        Only lowers the threshold (hash values above the new ``τ`` are
+        dropped); raising it would require access to the original records.
+        Returns the new threshold.
+
+        The refit is incremental: the store's O(1) ``total_values``
+        tracker answers the common post-``insert_many`` case — batch
+        landed, still under budget — without touching the value column
+        at all, and when the budget *is* exceeded the new ``τ`` comes
+        from a prefix cut of the incrementally merged value→record join
+        index (:meth:`~repro.core.store.ColumnarSketchStore.threshold_for_value_budget`)
+        instead of gathering and re-sorting every live value.  The
+        chosen threshold is identical to the historical full re-derive:
+        the largest distinct value whose cumulative live occurrence
+        count fits the residual budget.
+        """
+        buffer_cost = self.num_records * self._vocabulary.size / BITS_PER_SIGNATURE_UNIT
+        residual_budget = max(self._budget - buffer_cost, 0.0)
+        total_values = self._store.total_values
+        if total_values == 0 or total_values <= residual_budget:
+            return self._threshold
+        new_threshold = self._store.threshold_for_value_budget(residual_budget)
+        if new_threshold >= self._threshold:
+            return self._threshold
+        self._threshold = new_threshold
+        self._store.truncate_values(new_threshold)
+        return self._threshold
+
+    # ----------------------------------------------------------------- search
+    def query_sketch(self, query: Iterable[object]) -> GBKMVSketch:
+        """Build the GB-KMV sketch of a query under the index's parameters."""
+        return GBKMVSketch.from_record(
+            query,
+            vocabulary=self._vocabulary,
+            threshold=self._threshold,
+            hasher=self._hasher,
+        )
+
+    def estimate_containment(self, query: Iterable[object], record_id: int) -> float:
+        """Estimate ``C(Q, X_record_id)`` for a single record."""
+        query_sketch = self.query_sketch(query)
+        return query_sketch.containment_estimate(self.sketch(record_id))

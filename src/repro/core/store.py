@@ -41,10 +41,10 @@ segment state round-trips through npz snapshots via :meth:`save` /
 :meth:`load`.
 
 On top of the columns the store offers the *fused whole-workload*
-kernels the query engine is built from: :meth:`match_workload`
-resolves every query's values against the value→record join index in
-one ``searchsorted`` pass and returns the sparse (query, row, count)
-triples of the pairs that share a value, and
+kernels the query engine of every sketch family is built from:
+:meth:`match_workload` resolves every query's values against the
+value→record join index in one ``searchsorted`` pass and returns the
+sparse (query, row, count) triples of the pairs that share a value, and
 :meth:`signature_overlap_block` extracts the ``(B, block)`` popcount
 overlap matrix of a row range, so an engine can sweep a workload over
 the rows in blocks without ever materialising a dense ``(B, num_rows)``
@@ -138,7 +138,8 @@ class ColumnarSketchStore:
     ----------
     signature_bits:
         Width ``r`` of the frequent-element bitmap.  ``0`` disables the
-        signature columns (the G-KMV special case).
+        signature columns (G-KMV, and the plain-KMV baseline, whose rows
+        hold each record's ``k`` smallest hash values).
     compact_ratio:
         Tombstoned-row fraction that triggers physical compaction on the
         next :meth:`finalize`, in ``(0, 1]``.
@@ -887,21 +888,34 @@ class ColumnarSketchStore:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse intersection counts of a whole workload, in one fused pass.
 
-        Every query's sorted values are resolved against the value→record
-        join index at once (:func:`match_join_index`).  Returns
-        ``(query_ids, rows, counts)`` for exactly the (query, physical
-        row) pairs that share a stored value, sorted by query then row:
-        one ``np.unique`` over packed ``query * num_rows + row`` keys
-        groups the occurrences.  Cost is ``O(matches)``; nothing dense is
-        touched, which is what lets the engine score only value-sharing
-        pairs with the estimator.  Tombstoned rows are counted like any
-        other.
+        Every query's sorted values are concatenated into one run and
+        resolved against the value→record join index with a single pair
+        of ``searchsorted`` calls.  Returns ``(query_ids, rows, counts)``
+        for exactly the (query, physical row) pairs that share a stored
+        value, sorted by query then row: one ``np.unique`` over packed
+        ``query * num_rows + row`` keys groups the occurrences.  Cost is
+        ``O(matches)``; nothing dense is touched, which is what lets the
+        engine score only value-sharing pairs with the estimator.
+        Tombstoned rows are counted like any other.
         """
         self.finalize()
         assert self._sorted_values is not None and self._sorted_rows is not None
-        query_ids, positions = match_join_index(self._sorted_values, queries_values)
-        if not query_ids.size:  # no match (common for one query): skip unique
-            return query_ids, positions, positions
+        join_values = self._sorted_values
+        empty = np.empty(0, dtype=np.int64)
+        if not len(queries_values) or join_values.size == 0:
+            return empty, empty, empty
+        arrays = [np.asarray(values, dtype=np.float64) for values in queries_values]
+        all_values = np.concatenate(arrays)
+        starts = np.searchsorted(join_values, all_values, side="left")
+        stops = np.searchsorted(join_values, all_values, side="right")
+        positions = _gather_ranges(starts, stops)
+        if not positions.size:  # no match (common for one query): skip unique
+            return empty, empty, empty
+        lengths = np.fromiter(
+            (values.size for values in arrays), dtype=np.int64, count=len(arrays)
+        )
+        value_queries = np.repeat(np.arange(len(arrays), dtype=np.int64), lengths)
+        query_ids = np.repeat(value_queries, stops - starts)
         num_rows = self.num_rows
         pairs, counts = np.unique(
             query_ids * num_rows + self._sorted_rows[positions], return_counts=True
@@ -989,38 +1003,6 @@ def _merge_sorted_runs(
     merged_values[base_mask] = base_values
     merged_rows[base_mask] = base_rows
     return merged_values, merged_rows
-
-
-def match_join_index(
-    join_values: np.ndarray, queries_values: Sequence[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Every stored occurrence of every query's values in a sorted join index.
-
-    The shared fused match pass: all queries' values are concatenated
-    into one run carrying a query-id column and resolved with a single
-    pair of ``searchsorted`` calls against ``join_values`` (sorted
-    ascending).  Returns parallel ``(query_ids, positions)`` arrays, one
-    entry per matched occurrence, ``positions`` indexing the join index.
-    The columnar store's workload kernel and the plain-KMV baseline's
-    fused Equation-10 path are both built on it, so their match semantics
-    cannot drift apart.
-    """
-    empty = np.empty(0, dtype=np.int64)
-    num_queries = len(queries_values)
-    if num_queries == 0 or join_values.size == 0:
-        return empty, empty
-    arrays = [np.asarray(values, dtype=np.float64) for values in queries_values]
-    all_values = np.concatenate(arrays)
-    starts = np.searchsorted(join_values, all_values, side="left")
-    stops = np.searchsorted(join_values, all_values, side="right")
-    positions = _gather_ranges(starts, stops)
-    if not positions.size:
-        return empty, empty
-    lengths = np.fromiter(
-        (values.size for values in arrays), dtype=np.int64, count=num_queries
-    )
-    value_qids = np.repeat(np.arange(num_queries, dtype=np.int64), lengths)
-    return np.repeat(value_qids, stops - starts), positions
 
 
 def _gather_ranges(starts: np.ndarray, stops: np.ndarray) -> np.ndarray:

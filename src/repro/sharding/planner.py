@@ -25,8 +25,10 @@ plan once, sketch shards concurrently*:
   pins ``buffer_size=0`` and builds its shards as the zero-buffer
   subclass :class:`~repro.baselines.kmv_search.GKMVSearchIndex`);
   ``kmv`` applies the Theorem-1 allocation ``k = ⌊b / m⌋`` with the
-  *global* ``b`` and ``m``, hashes the unique universe once, and
-  bulk-selects each slice's rows;
+  *global* ``b`` and ``m``, hashes the unique universe once,
+  bulk-selects each slice's values as CSR columns
+  (:func:`~repro.core.bulk.bulk_kmv_value_rows`) and appends them to the
+  shard's store in one ``append_bulk``, as the GB-KMV shards do;
 - the per-shard sketch kernels fan out on a
   :class:`~repro.sharding.executor.ShardExecutor` sized by
   ``build_workers`` — threads by default (the kernels release the GIL),
@@ -51,7 +53,7 @@ from repro._errors import ConfigurationError
 from repro.api.config import IndexConfig
 from repro.api.interface import SimilarityIndex
 from repro.api.registry import get_backend
-from repro.baselines.kmv_search import GKMVSearchIndex, KMVSearchIndex
+from repro.baselines.kmv_search import GKMVSearchIndex, KMVSearchIndex, append_kmv_rows
 from repro.core.bulk import (
     FlatRecords,
     VocabularyLookup,
@@ -159,7 +161,7 @@ def _sketch_shard_arrays(payload):
 
 
 def _kmv_shard_rows(payload):
-    """Process-pool worker: one shard's k-smallest KMV value rows."""
+    """Process-pool worker: one shard's k-smallest KMV values as CSR columns."""
     offsets, inverse, hasher, k_per_record, unique_hashes = payload
     start = time.perf_counter()
     flat = FlatRecords(
@@ -171,10 +173,10 @@ def _kmv_shard_rows(payload):
         inverse=inverse,
         counts=_EMPTY_I64,
     )
-    rows = bulk_kmv_value_rows(
+    columns = bulk_kmv_value_rows(
         flat, hasher, k_per_record, unique_hashes=unique_hashes
     )
-    return rows, time.perf_counter() - start
+    return columns, time.perf_counter() - start
 
 
 def _pinned_gbkmv_shards(
@@ -365,26 +367,25 @@ def _kmv_shards(
                 for piece in pieces
             ]
             results = executor.map(_kmv_shard_rows, payloads)
-            shards = []
-            for piece, (rows, seconds) in zip(pieces, results):
+            for piece, (_, seconds) in zip(pieces, results):
                 if profile is not None:
                     profile.record("sketch", seconds, rows=piece.num_records)
-                index = KMVSearchIndex(hasher=hasher, k_per_record=k, budget=share)
-                index._extend_rows(rows, piece.record_sizes.tolist())
-                shards.append(index)
-            return shards
-
-        def build_one(piece: FlatRecords) -> KMVSearchIndex:
-            index = KMVSearchIndex(hasher=hasher, k_per_record=k, budget=share)
-            rows = bulk_kmv_value_rows(
-                piece, hasher, k, unique_hashes=unique_hashes, profile=profile
+            shard_columns = [columns for columns, _ in results]
+        else:
+            shard_columns = executor.map(
+                lambda piece: bulk_kmv_value_rows(
+                    piece, hasher, k, unique_hashes=unique_hashes, profile=profile
+                ),
+                pieces,
             )
-            index._extend_rows(rows, piece.record_sizes.tolist())
-            return index
-
-        return executor.map(build_one, pieces)
     finally:
         executor.close()
+    shards = []
+    for piece, columns in zip(pieces, shard_columns):
+        index = KMVSearchIndex(hasher=hasher, k_per_record=k, budget=share)
+        append_kmv_rows(index.store, columns, piece.record_sizes, profile)
+        shards.append(index)
+    return shards
 
 
 def _generic_shards(records, groups, inner_backend, inner_config):

@@ -1,10 +1,12 @@
-"""The baseline query engines against the scalar sketch estimators.
+"""The baseline sketch families on the shared engine, against the scalar estimators.
 
-Each sketch family answers through one engine: plain KMV through
-:meth:`KMVSearchIndex.search_many` (the fused kernels of
-:class:`~repro.core.batched.KMVBatchEstimator`), G-KMV through the GB-KMV
-engine of the zero-buffer :class:`GKMVSearchIndex`.  Their scores must
-equal the scalar ``intersection_size_estimate`` of
+Every sketch family answers through one engine
+(:meth:`~repro.core.index.SketchStoreIndex.search_many` and
+:meth:`~repro.core.index.SketchStoreIndex.top_k_many`): plain KMV scores
+its value-sharing pairs with Equation 10
+(:func:`~repro.core.batched.kmv_intersection_estimates`), G-KMV — the
+zero-buffer :class:`GKMVSearchIndex` — with Equation 25.  Their scores
+must equal the scalar ``intersection_size_estimate`` of
 :class:`~repro.core.kmv.KMVSketch` / :class:`~repro.core.gkmv.GKMVSketch`
 divided by ``|Q|`` — as floating-point bit patterns — record by record,
 after deletes, updates and compaction, at every threshold and row block.
@@ -19,7 +21,7 @@ import pytest
 
 from repro._errors import EstimationError
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
-from repro.core import GBKMVIndex, KMVBatchEstimator
+from repro.core import ColumnarSketchStore, GBKMVIndex, batched, kmv_intersection_estimates
 from repro.core.gkmv import GKMVSketch
 from repro.core.kmv import KMVSketch
 
@@ -98,6 +100,15 @@ def _assert_engine_matches_oracle(index, live, queries, estimate):
             got = index.search_many(queries, threshold, row_block_size=block)
             assert [_pairs(hits) for hits in got] == expected
         assert [_pairs(index.search(query, threshold)) for query in queries] == expected
+    # Top-k is the threshold-0 ranking truncated at k: decreasing score,
+    # ties (zero scores included) by increasing id.
+    ranking = [_oracle_search(live, query, 0.0, estimate) for query in queries]
+    for k in (1, 5, len(live)):
+        expected = [hits[:k] for hits in ranking]
+        for block in ROW_BLOCK_SIZES:
+            got = index.top_k_many(queries, k, row_block_size=block)
+            assert [_pairs(hits) for hits in got] == expected
+        assert [_pairs(index.top_k(query, k)) for query in queries] == expected
 
 
 class TestKMVEngineMatchesScalarOracle:
@@ -128,50 +139,73 @@ class TestKMVEngineMatchesScalarOracle:
         _assert_engine_matches_oracle(index, live, queries, estimate)
 
         _maintain(index, live, rng, _random_records(rng, 8))
-        # Deleting a third of the rows crossed the compaction ratio, so
-        # rows were dropped physically.
-        assert len(index._value_rows) < len(records)
         assert index.num_records == len(live)
         _assert_engine_matches_oracle(index, live, queries, estimate)
+        # Deleting a third of the rows crossed the compaction ratio, so the
+        # first search after the maintenance dropped the dead rows physically.
+        assert index.store.num_rows == len(live) < len(records)
         assert min(branches[name] for name in ("k < 2", "exact", "formula")) > 0
 
 
 class TestKMVBatchEstimator:
-    """The fused kernels, driven directly: workload blocks of record rows."""
+    """Equation 10 over a workload's value-sharing pairs, driven directly.
+
+    Record rows come from scalar :class:`KMVSketch` objects, stored as the
+    KMV baseline stores them (zero-width signatures, ``|X|`` as both
+    record sizes); the store's join match yields the pairs.
+    """
 
     K = 8
 
     def _build(self, hasher, records):
-        rows = []
+        store = ColumnarSketchStore(signature_bits=0)
         sketches = []
-        sizes = []
         for record in records:
             sketch = KMVSketch.from_record(record, k=self.K, hasher=hasher)
-            rows.append(np.asarray(sketch.values))
-            sizes.append(sketch.record_size)
+            store.append(
+                values=np.asarray(sketch.values),
+                mask=0,
+                residual_record_size=sketch.record_size,
+                record_size=sketch.record_size,
+            )
             sketches.append(sketch)
-        return KMVBatchEstimator.from_value_rows(rows, sizes, self.K), sketches
+        return store, sketches
 
-    def _block(self, estimator, query_sketches, row_lo=0, row_hi=None):
+    def _block(self, store, query_sketches, row_lo=0, row_hi=None):
+        """``(queries, rows)`` estimates of a row range; unshared pairs are 0."""
+        if row_hi is None:
+            row_hi = store.num_rows
         values = [np.asarray(sketch.values) for sketch in query_sketches]
-        counts = np.array([row.size for row in values], dtype=np.int64)
-        matrix = np.full((len(values), max(int(counts.max()), 1)), np.inf)
-        for position, row in enumerate(values):
-            matrix[position, : row.size] = row
+        query_idx, rows, counts = store.match_workload(values)
+        mine = (rows >= row_lo) & (rows < row_hi)
+        query_idx, rows, counts = query_idx[mine], rows[mine], counts[mine]
+        lengths = np.array([row.size for row in values], dtype=np.int64)
+        starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         exact = np.array([sketch.is_exact for sketch in query_sketches])
-        matches = estimator.match_workload(values)
-        return estimator.intersection_workload_block(
-            matrix, counts, exact, matches, row_lo, row_hi
+        offsets = store.offsets
+        estimates = kmv_intersection_estimates(
+            counts,
+            store.values,
+            offsets[rows],
+            offsets[rows + 1] - offsets[rows],
+            store.row_exact[rows],
+            np.concatenate(values),
+            starts[query_idx],
+            lengths[query_idx],
+            exact[query_idx],
         )
+        block = np.zeros((len(values), row_hi - row_lo))
+        block[query_idx, rows - row_lo] = estimates
+        return block
 
     def test_intersection_matches_scalar_estimator(self, rng, hasher):
         records = _random_records(rng, 60)
-        estimator, sketches = self._build(hasher, records)
+        store, sketches = self._build(hasher, records)
         query_sketches = [
             KMVSketch.from_record(query, k=self.K, hasher=hasher)
             for query in (records[0], records[11], {777, 778, 779})
         ]
-        block = self._block(estimator, query_sketches)
+        block = self._block(store, query_sketches)
         for query_sketch, row in zip(query_sketches, block):
             for record_id, sketch in enumerate(sketches):
                 try:
@@ -180,25 +214,59 @@ class TestKMVBatchEstimator:
                     continue  # scalar API refuses k < 2; the batch reports counts
                 assert row[record_id] == expected
 
-    def test_row_blocks_match_the_whole_block(self, rng, hasher):
+    def test_row_blocks_match_the_whole_block(self, rng, hasher, monkeypatch):
         records = _random_records(rng, 25)
-        estimator, _sketches = self._build(hasher, records)
+        store, _sketches = self._build(hasher, records)
         query_sketches = [
             KMVSketch.from_record(records[position], k=self.K, hasher=hasher)
             for position in (2, 9)
         ]
-        whole = self._block(estimator, query_sketches)
-        for record_id in range(estimator.num_records):
-            one = self._block(estimator, query_sketches, record_id, record_id + 1)
+        whole = self._block(store, query_sketches)
+        assert np.count_nonzero(whole) > 2
+        for record_id in range(store.num_rows):
+            one = self._block(store, query_sketches, record_id, record_id + 1)
             assert np.array_equal(one[:, 0], whole[:, record_id])
+        # The formula pairs are scored in chunks; one pair per chunk too.
+        monkeypatch.setattr(batched, "KMV_CHUNK_CELLS", 1)
+        assert np.array_equal(self._block(store, query_sketches), whole)
+
+    def test_short_sketches_against_long_ones(self, rng, hasher, monkeypatch):
+        # Short sketches (of small records or queries) meet long ones, so
+        # formula pairs pad past a short sketch's end; chunks of one, two
+        # or three pairs score every pair the same.
+        records = [
+            set(rng.integers(0, 300, size=rng.integers(2, 12)).tolist()) for _ in range(120)
+        ]
+        store, sketches = self._build(hasher, records)
+        unions = rng.integers(0, len(records), size=(6, 3)).tolist()
+        queries = [records[a] | records[b] | records[c] for a, b, c in unions] + records[:6]
+        query_sketches = [KMVSketch.from_record(query, k=self.K, hasher=hasher) for query in queries]
+        expected = np.zeros((len(queries), len(records)))
+        short = Counter()
+        for position, query_sketch in enumerate(query_sketches):
+            for record_id, sketch in enumerate(sketches):
+                shared = np.intersect1d(query_sketch.values, sketch.values).size
+                try:
+                    expected[position, record_id] = query_sketch.intersection_size_estimate(sketch)
+                except EstimationError:
+                    expected[position, record_id] = shared
+                    continue
+                if shared and not (query_sketch.is_exact and sketch.is_exact):
+                    short["record"] += sketch.size < self.K
+                    short["query"] += query_sketch.size < self.K
+        assert short["record"] > 0 and short["query"] > 0
+        for cells in (None, 1, 2 * 2 * self.K, 3 * 2 * self.K):
+            if cells is not None:
+                monkeypatch.setattr(batched, "KMV_CHUNK_CELLS", cells)
+            assert np.array_equal(self._block(store, query_sketches), expected), cells
 
     def test_exact_pairs_report_exact_overlap(self, hasher):
         # Records smaller than k: sketches are exact, so the estimate is
         # the exact hash-set overlap.
         records = [{1, 2, 3}, {2, 3, 4}, {10, 11}]
-        estimator, _sketches = self._build(hasher, records)
+        store, _sketches = self._build(hasher, records)
         query_sketch = KMVSketch.from_record({2, 3, 10}, k=self.K, hasher=hasher)
-        assert self._block(estimator, [query_sketch]).tolist() == [[2.0, 2.0, 1.0]]
+        assert self._block(store, [query_sketch]).tolist() == [[2.0, 2.0, 1.0]]
 
 
 class TestGKMVBatchEstimator:

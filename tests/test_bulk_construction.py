@@ -301,9 +301,12 @@ class TestKMVBaselineBulk:
             records, space_fraction=0.1, method="per-record"
         )
         assert bulk.k_per_record == reference.k_per_record
-        assert len(bulk._value_rows) == len(reference._value_rows)
-        for bulk_row, reference_row in zip(bulk._value_rows, reference._value_rows):
-            assert np.array_equal(bulk_row, reference_row)
+        bulk_state = bulk.store.state_arrays()
+        reference_state = reference.store.state_arrays()
+        assert bulk_state.keys() == reference_state.keys()
+        for name, column in bulk_state.items():
+            assert column.dtype == reference_state[name].dtype, name
+            assert np.array_equal(column, reference_state[name]), name
         assert bulk.search_many(queries, THRESHOLD) == reference.search_many(
             queries, THRESHOLD
         )
@@ -324,11 +327,12 @@ class TestKMVBaselineBulk:
 
     def test_bulk_value_rows_truncate_to_k(self):
         flat = flatten_records([[1, 2, 3, 4, 5], [6]])
-        rows = bulk_kmv_value_rows(flat, UnitHash(seed=0), 2)
-        assert [row.size for row in rows] == [2, 1]
+        values, lengths = bulk_kmv_value_rows(flat, UnitHash(seed=0), 2)
+        assert lengths.tolist() == [2, 1]
         hasher = UnitHash(seed=0)
         reference = np.unique(hasher.hash_many([1, 2, 3, 4, 5]))[:2]
-        assert np.array_equal(rows[0], reference)
+        assert np.array_equal(values[:2], reference)
+        assert np.array_equal(values[2:], hasher.hash_many([6]))
 
     def test_gkmv_baseline_bulk_matches(self):
         records = powerlaw_records(num_records=120)
@@ -541,7 +545,8 @@ class TestSliceFlatRecords:
         flat = flatten_records(powerlaw_records(num_records=20))
         piece = slice_flat_records(flat, np.empty(0, dtype=np.int64))
         assert piece.num_records == 0
-        assert bulk_kmv_value_rows(piece, UnitHash(seed=0), 3) == []
+        values, lengths = bulk_kmv_value_rows(piece, UnitHash(seed=0), 3)
+        assert values.size == 0 and lengths.size == 0
 
     def test_sliced_sketches_match_full_dataset_rows(self):
         # Sketching a slice under globally pinned parameters must equal

@@ -13,7 +13,7 @@ import pytest
 
 from repro._errors import SketchCompatibilityError
 from repro.baselines import GKMVSearchIndex
-from repro.core import GBKMVIndex, KMVBatchEstimator
+from repro.core import ColumnarSketchStore, GBKMVIndex, kmv_intersection_estimates
 from repro.core.buffer import FrequentElementVocabulary
 from repro.core.gbkmv import GBKMVSketch
 from repro.core.gkmv import GKMVSketch
@@ -111,18 +111,32 @@ class TestEmptyRecords:
         assert hits == [(record_id, 0.0) for record_id in range(len(records))]
 
     def test_kmv_batch_empty_rows(self, hasher):
-        estimator = KMVBatchEstimator.from_value_rows(
-            [np.empty(0, dtype=np.float64)], [0], k=4
+        # An empty row shares no value with any query, so it never reaches
+        # the Equation-10 pair estimator and scores 0.
+        store = ColumnarSketchStore(signature_bits=0)
+        store.append(
+            values=np.empty(0, dtype=np.float64),
+            mask=0,
+            residual_record_size=0,
+            record_size=0,
         )
         query = KMVSketch.from_record(["x", "y"], k=4, hasher=hasher)
         values = np.asarray(query.values)
-        estimates = estimator.intersection_workload_block(
-            values[np.newaxis, :],
-            np.array([values.size]),
-            np.array([query.is_exact]),
-            estimator.match_workload([values]),
+        query_idx, rows, counts = store.match_workload([values])
+        assert query_idx.size == rows.size == counts.size == 0
+        empty = np.empty(0, dtype=np.int64)
+        estimates = kmv_intersection_estimates(
+            counts,
+            store.values,
+            empty,
+            empty,
+            np.empty(0, dtype=bool),
+            values,
+            empty,
+            empty,
+            np.empty(0, dtype=bool),
         )
-        assert estimates.tolist() == [[0.0]]
+        assert estimates.dtype == np.float64 and estimates.size == 0
 
 
 class TestMismatchedHashers:

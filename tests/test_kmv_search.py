@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import json
+
+import numpy as np
 import pytest
 
-from repro._errors import ConfigurationError, EmptyDatasetError
+from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatError
+from repro.api import open_index
+from repro.api.registry import snapshot_tag
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
-from repro.core import GBKMVIndex
+from repro.core import FrequentElementVocabulary, GBKMVIndex, flatten_records
 from repro.exact import BruteForceSearcher
+from repro.hashing import UnitHash
 
 
 class TestKMVSearchIndex:
@@ -90,6 +96,21 @@ class TestGKMVSearchIndex:
             path = path.with_suffix(".npz")
         with pytest.raises(ConfigurationError, match="buffer size 4"):
             GKMVSearchIndex.load(path)
+
+    def test_rejects_a_buffer_on_every_construction_path(self, zipf_records):
+        records = zipf_records[:30]
+        pinned = dict(
+            vocabulary=FrequentElementVocabulary([records[0][0]]),
+            threshold=0.9,
+            hasher=UnitHash(seed=0),
+            budget=10.0,
+        )
+        with pytest.raises(ConfigurationError, match="buffer size 1"):
+            GKMVSearchIndex.from_parameters(records, **pinned)
+        with pytest.raises(ConfigurationError, match="buffer size 1"):
+            GKMVSearchIndex.from_flat(flatten_records(records), **pinned)
+        with pytest.raises(ConfigurationError, match="buffer size 1"):
+            GKMVSearchIndex(**pinned)
 
     def test_exact_when_budget_is_full(self, tiny_records, example_query):
         index = GKMVSearchIndex.build(tiny_records, space_fraction=1.0)
@@ -178,3 +199,93 @@ class TestDynamicAPI:
         after = {hit.record_id: hit.score for hit in index.search(query, 0.0)}
         del before[41]
         assert after == before
+
+
+def _answers(index, queries):
+    return (
+        [[(hit.record_id, hit.score) for hit in hits] for hits in index.search_many(queries, 0.0)],
+        [[(hit.record_id, hit.score) for hit in hits] for hits in index.search_many(queries, 0.3)],
+        [[(hit.record_id, hit.score) for hit in hits] for hits in index.top_k_many(queries, 4)],
+    )
+
+
+class TestKMVSnapshots:
+    """KMV snapshots: the shared format in both layouts, and the older one."""
+
+    @pytest.fixture
+    def index(self, zipf_records):
+        index = KMVSearchIndex.build(zipf_records[:80], space_fraction=0.2)
+        for record_id in (3, 17, 40):
+            index.delete(record_id)
+        index.update(5, zipf_records[90])
+        index.insert_many(zipf_records[81:86])
+        return index
+
+    def test_directory_snapshot_maps_and_answers_identically(
+        self, index, zipf_records, tmp_path
+    ):
+        queries = zipf_records[:6]
+        path = tmp_path / "kmv-dir"
+        index.save(path, layout="dir")
+        assert (path / "manifest.json").exists()
+        mapped = open_index(path, mmap=True)
+        assert isinstance(mapped, KMVSearchIndex)
+        assert isinstance(mapped.store.values.base, np.memmap)
+        assert mapped.k_per_record == index.k_per_record
+        assert mapped.next_record_id == index.next_record_id
+        assert _answers(mapped, queries) == _answers(index, queries)
+        # A mapped index still accepts writes.
+        mapped.delete(0)
+        index.delete(0)
+        assert mapped.insert(zipf_records[95]) == index.insert(zipf_records[95])
+        assert _answers(mapped, queries) == _answers(index, queries)
+
+    def _write_version_1(self, index, path, skip=None):
+        """The layout KMV snapshots had before KMV rows lived in the store."""
+        state = index.store.state_arrays()
+        meta = {
+            "format_version": 1,
+            "k_per_record": index.k_per_record,
+            "budget": index.budget,
+            "hasher_seed": index.hasher.seed,
+            "next_id": index.next_record_id,
+        }
+        columns = {
+            "values": state["values"],
+            "offsets": state["offsets"],
+            "record_sizes": state["record_sizes"],
+            "row_ids": state["row_ids"],
+            "alive": ~state["tombstones"],
+        }
+        columns.pop(skip, None)
+        np.savez_compressed(
+            path,
+            api_meta=snapshot_tag("kmv", 1),
+            kmv_meta=np.array(json.dumps(meta)),
+            **columns,
+        )
+
+    def test_version_1_snapshot_loads(self, index, zipf_records, tmp_path):
+        queries = zipf_records[:6]
+        path = tmp_path / "kmv-v1.npz"
+        self._write_version_1(index, path)
+        for restored in (KMVSearchIndex.load(path), open_index(path)):
+            assert isinstance(restored, KMVSearchIndex)
+            assert restored.num_records == index.num_records
+            assert restored.next_record_id == index.next_record_id
+            assert _answers(restored, queries) == _answers(index, queries)
+        # Saving it again writes the shared format.
+        resaved = tmp_path / "kmv-v2.npz"
+        restored.save(resaved)
+        with np.load(resaved) as data:
+            assert "index_meta" in data.files and "kmv_meta" not in data.files
+        assert _answers(open_index(resaved), queries) == _answers(index, queries)
+
+    @pytest.mark.parametrize("column", ["values", "offsets", "record_sizes", "row_ids", "alive"])
+    def test_version_1_snapshot_missing_a_column_is_rejected(self, index, tmp_path, column):
+        path = tmp_path / "kmv-v1.npz"
+        self._write_version_1(index, path, skip=column)
+        with pytest.raises(SnapshotFormatError, match=column):
+            KMVSearchIndex.load(path)
+        with pytest.raises(SnapshotFormatError, match=column):
+            open_index(path)

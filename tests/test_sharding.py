@@ -329,6 +329,30 @@ def test_sharded_snapshot_mmap_round_trip_supports_mutation(tmp_path):
     )
 
 
+def test_sharded_kmv_snapshot_maps_directory_shards(tmp_path):
+    records, queries = _dataset(120), _queries()
+    sharded = create_index(
+        "sharded",
+        records,
+        ShardedConfig(num_shards=3, inner_backend="kmv", inner_config=_INNER_CONFIGS["kmv"]),
+    )
+    path = tmp_path / "kmv-sharded"
+    sharded.save(path)
+    # KMV shards are saved in the mmap-able directory layout.
+    assert sorted(entry.name for entry in path.iterdir() if entry.is_dir()) == [
+        "shard-00000",
+        "shard-00001",
+        "shard-00002",
+    ]
+    mapped = open_index(path, mmap=True)
+    assert_identical_workload(
+        sharded.search_many(queries, 0.3), mapped.search_many(queries, 0.3)
+    )
+    assert_identical_workload(
+        sharded.top_k_many(queries, 5), mapped.top_k_many(queries, 5)
+    )
+
+
 def test_sharded_load_rejects_foreign_directories(tmp_path):
     with pytest.raises(SnapshotFormatError):
         open_index(tmp_path)  # no manifest at all
@@ -373,8 +397,9 @@ def test_gbkmv_unknown_layout_rejected(tmp_path):
 
 
 def test_mmap_rejected_for_backends_without_support(tmp_path):
-    index = create_index("kmv", _dataset(30), KMVConfig())
-    path = tmp_path / "kmv.npz"
+    index = create_index("lsh-ensemble", _dataset(30))
+    assert index.capabilities.persistent
+    path = tmp_path / "lsh-ensemble.npz"
     index.save(path)
     with pytest.raises(ConfigurationError, match="memory-mapped"):
         open_index(path, mmap=True)
@@ -527,31 +552,15 @@ def test_generic_backend_rejects_empty_shards():
 
 
 # ------------------------------------------------------- parallel build
-def _shard_state(shard):
-    """A shard's sketch state as comparable arrays, per inner backend."""
-    if isinstance(shard, GBKMVIndex):  # gbkmv, and gkmv as its subclass
-        return shard.store.state_arrays()
-    # KMV baseline: the value rows and record sizes are the state.
-    return {
-        "rows": shard._value_rows,
-        "record_sizes": np.asarray(shard._record_sizes),
-    }
-
-
 def assert_identical_shard_states(expected, actual):
+    # Every native inner backend (gbkmv, gkmv, kmv) keeps its rows in a store.
     assert expected.num_shards == actual.num_shards
     for expected_shard, actual_shard in zip(expected.shards, actual.shards):
-        expected_state = _shard_state(expected_shard)
-        actual_state = _shard_state(actual_shard)
+        expected_state = expected_shard.store.state_arrays()
+        actual_state = actual_shard.store.state_arrays()
         assert expected_state.keys() == actual_state.keys()
         for name in expected_state:
-            expected_value = expected_state[name]
-            if isinstance(expected_value, list):
-                assert len(expected_value) == len(actual_state[name])
-                for left, right in zip(expected_value, actual_state[name]):
-                    assert np.array_equal(left, right), name
-            else:
-                assert np.array_equal(expected_value, actual_state[name]), name
+            assert np.array_equal(expected_state[name], actual_state[name]), name
 
 
 @pytest.mark.parametrize("inner_backend", ["gbkmv", "gkmv", "kmv"])
