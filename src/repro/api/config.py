@@ -189,15 +189,12 @@ class ShardedConfig(IndexConfig):
         Thread-pool width for fan-out operations; ``None`` sizes the
         pool to ``min(os.cpu_count(), num_shards)``.
     build_workers:
-        Executor width for the *construction* fan-out (per-shard bulk
+        Thread-pool width for the *construction* fan-out (per-shard bulk
         sketching); ``None`` sizes it like ``max_workers``.  An explicit
         value below ``num_shards`` acts as an oversubscription guard.
         Only the native sketch backends (gbkmv/gkmv/kmv) build in
-        parallel.
-    build_executor:
-        ``"thread"`` (default — the sketch kernels release the GIL) or
-        ``"process"`` to run the pickle-friendly array stages of the
-        build on a process pool.
+        parallel: they plan once over the whole dataset and sketch each
+        shard's slice on a thread (the sketch kernels release the GIL).
     """
 
     num_shards: int = 4
@@ -205,4 +202,3 @@ class ShardedConfig(IndexConfig):
     inner_config: IndexConfig | None = None
     max_workers: int | None = None
     build_workers: int | None = None
-    build_executor: str = "thread"

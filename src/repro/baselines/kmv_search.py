@@ -6,8 +6,10 @@ plain KMV under a space budget ``b`` — and answers containment search
 with the Equation-10 intersection estimator.  It is a
 :class:`~repro.core.index.SketchStoreIndex` like GB-KMV: its rows live in
 a :class:`~repro.core.store.ColumnarSketchStore` with zero-width
-signatures (:func:`append_kmv_rows`), and it answers through the same
-pair-then-sweep engine, with
+signatures, it is built by the same flatten → plan → ``from_flat``
+pipeline (:meth:`KMVSearchIndex.plan_parameters` pins the global ``k``,
+and a sharded build pins every shard to that one plan), and it answers
+through the same pair-then-sweep engine, with
 :func:`~repro.core.batched.kmv_intersection_estimates` scoring the pairs
 that share a value.
 
@@ -27,6 +29,7 @@ Both appear as the non-buffered points of Figure 6.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -35,37 +38,27 @@ from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatE
 from repro.api.config import GKMVConfig, KMVConfig
 from repro.core.batched import kmv_intersection_estimates
 from repro.core.buffer import FrequentElementVocabulary
-from repro.core.bulk import (
-    FlatRecords,
-    bulk_kmv_value_rows,
-    flatten_records,
-    resolve_space_budget,
-)
+from repro.core.bulk import FlatRecords, bulk_kmv_value_rows, resolve_space_budget
 from repro.core.index import GBKMVIndex, SketchStoreIndex, _json_payload, _Workload
 from repro.core.profiling import BuildProfile
-from repro.core.store import SNAPSHOT_VERSION, ColumnarSketchStore
+from repro.core.store import SNAPSHOT_VERSION
 from repro.hashing import UnitHash
 
-def append_kmv_rows(
-    store: ColumnarSketchStore,
-    columns: tuple[np.ndarray, np.ndarray],
-    record_sizes: np.ndarray,
-    profile: BuildProfile | None = None,
-) -> np.ndarray:
-    """Append KMV rows, CSR ``(values, lengths)``, to a store; returns their ids.
 
-    A KMV row has no buffer (a zero-width signature) and records ``|X|``
-    as both of its sizes, so the store's exactness flag is the sketch's.
+@dataclass(frozen=True)
+class KMVPlan:
+    """Theorem 1's global parameters, before any ingest.
+
+    Returned by :meth:`KMVSearchIndex.plan_parameters`: the shared hasher,
+    ``k = ⌊b / m⌋``, the resolved budget and the hashes of the planned
+    dataset's unique fingerprints.  The fields are
+    :meth:`~repro.core.index.SketchStoreIndex.from_flat`'s keywords.
     """
-    values, lengths = columns
-    return store.append_bulk(
-        values=values,
-        value_lengths=lengths,
-        signatures=np.empty((lengths.size, 0), dtype=np.uint64),
-        residual_record_sizes=record_sizes,
-        record_sizes=record_sizes,
-        profile=profile,
-    )
+
+    hasher: UnitHash
+    k_per_record: int
+    budget: float
+    unique_hashes: np.ndarray
 
 
 class KMVSearchIndex(SketchStoreIndex):
@@ -97,18 +90,54 @@ class KMVSearchIndex(SketchStoreIndex):
         ``"per-record"`` is the historical record-at-a-time loop, kept as
         the benchmark baseline.  Both produce identical sketches.
         """
-        cls._check_build_method(method)
+        return cls._build(
+            records,
+            method,
+            space_fraction=space_fraction,
+            space_budget=space_budget,
+            hasher=hasher,
+            seed=seed,
+        )
+
+    @classmethod
+    def plan_parameters(
+        cls,
+        flat: FlatRecords,
+        space_fraction: float = 0.10,
+        space_budget: float | None = None,
+        hasher: UnitHash | None = None,
+        seed: int = 0,
+        profile: BuildProfile | None = None,
+    ) -> KMVPlan:
+        """Theorem 1's equal allocation ``k = ⌊b / m⌋`` over the whole dataset.
+
+        Also hashes the unique universe once: a fingerprint's hash does
+        not depend on which records carry it, so every slice of ``flat``
+        gathers its rows from the same column.  The plan is one hash
+        pass, so ``profile`` records no stage of its own.
+        """
         if hasher is None:
             hasher = UnitHash(seed=seed)
-        if method == "bulk":
-            flat = flatten_records(records)
-            budget = resolve_space_budget(
-                flat.total_elements, space_fraction, space_budget
-            )
-            k = max(int(budget // flat.num_records), 1)
-            index = cls(hasher=hasher, k_per_record=k, budget=budget)
-            index._ingest_bulk(flat)
-            return index
+        budget = resolve_space_budget(flat.total_elements, space_fraction, space_budget)
+        return KMVPlan(
+            hasher=hasher,
+            k_per_record=max(int(budget // flat.num_records), 1),
+            budget=budget,
+            unique_hashes=hasher.hash_fingerprints(flat.unique_fingerprints),
+        )
+
+    @classmethod
+    def _build_per_record(
+        cls,
+        records: Sequence[Iterable[object]],
+        space_fraction: float = 0.10,
+        space_budget: float | None = None,
+        hasher: UnitHash | None = None,
+        seed: int = 0,
+    ) -> "KMVSearchIndex":
+        """The historical record-at-a-time build (the bulk path's oracle)."""
+        if hasher is None:
+            hasher = UnitHash(seed=seed)
         materialized = [set(record) for record in records]
         if not materialized:
             raise EmptyDatasetError("cannot build an index over an empty dataset")
@@ -133,9 +162,25 @@ class KMVSearchIndex(SketchStoreIndex):
         kept = hashes[: self._k]
         return kept, kept.size >= hashes.size
 
-    def _ingest_bulk(self, flat: FlatRecords) -> np.ndarray:
-        columns = bulk_kmv_value_rows(flat, self._hasher, self._k)
-        return append_kmv_rows(self._store, columns, flat.record_sizes)
+    def _ingest_bulk(
+        self,
+        flat: FlatRecords,
+        unique_hashes: np.ndarray | None = None,
+        profile: BuildProfile | None = None,
+    ) -> np.ndarray:
+        values, lengths = bulk_kmv_value_rows(
+            flat, self._hasher, self._k, unique_hashes=unique_hashes, profile=profile
+        )
+        # A KMV row has no buffer (a zero-width signature) and records |X|
+        # as both of its sizes, so the store's exactness flag is the sketch's.
+        return self._store.append_bulk(
+            values=values,
+            value_lengths=lengths,
+            signatures=np.empty((lengths.size, 0), dtype=np.uint64),
+            residual_record_sizes=flat.record_sizes,
+            record_sizes=flat.record_sizes,
+            profile=profile,
+        )
 
     def _residual_estimates(
         self,
@@ -221,10 +266,10 @@ class GKMVSearchIndex(GBKMVIndex):
     """G-KMV containment search (Equations 24–26): GB-KMV with an empty buffer.
 
     The constructor refuses a non-empty vocabulary, so every path to an
-    index — the builds, which pin ``buffer_size=0``, ``from_parameters``,
-    ``from_flat``, the sharded planner and :meth:`load` — yields one
-    without a buffer; a buffered index would report GB-KMV numbers under
-    the G-KMV label.  The store, the query engine, the dynamic
+    index — the builds and :meth:`plan_parameters`, which pin
+    ``buffer_size=0``, ``from_parameters``, ``from_flat``, the sharded
+    planner and :meth:`load` — yields one without a buffer; a buffered
+    index would report GB-KMV numbers under the G-KMV label.  The store, the query engine, the dynamic
     maintenance and the snapshots are :class:`GBKMVIndex`'s own.
     Snapshots carry this backend's tag, so :func:`repro.api.open_index`
     restores them as this class.
@@ -258,12 +303,22 @@ class GKMVSearchIndex(GBKMVIndex):
         method: str = "bulk",
     ) -> "GKMVSearchIndex":
         """Build G-KMV sketches under the given budget (no frequent-element buffer)."""
-        return super().build(
+        return cls._build(
             records,
+            method,
             space_fraction=space_fraction,
             space_budget=space_budget,
-            buffer_size=0,
             hasher=hasher,
             seed=seed,
-            method=method,
         )
+
+    @classmethod
+    def plan_parameters(
+        cls, flat: FlatRecords, profile: BuildProfile | None = None, **settings
+    ):
+        """GB-KMV's derivation under :class:`GKMVConfig`'s fields, buffer pinned empty."""
+        return super().plan_parameters(flat, buffer_size=0, profile=profile, **settings)
+
+    @classmethod
+    def _build_per_record(cls, records: Sequence[Iterable[object]], **settings):
+        return super()._build_per_record(records, buffer_size=0, **settings)

@@ -7,12 +7,15 @@ size, and full dynamic maintenance — insert, delete, update — plus
 snapshot persistence.
 
 Everything but the sketch family lives in :class:`SketchStoreIndex`, once:
-the store, the dynamic operations, the query engine and the snapshots.
-:class:`GBKMVIndex` derives from it (and G-KMV from ``GBKMVIndex``), and
-so does the plain-KMV baseline
+the store, the build primitives, the dynamic operations, the query
+engine and the snapshots.  :class:`GBKMVIndex` derives from it (and
+G-KMV from ``GBKMVIndex``), and so does the plain-KMV baseline
 (:class:`~repro.baselines.kmv_search.KMVSearchIndex`); a family only
-says which hash values a record or query keeps and how a pair sharing a
-stored value is estimated.
+says how its global parameters are planned, which hash values a record
+or query keeps and how a pair sharing a stored value is estimated.  Its
+bulk ``build`` is then flatten → ``plan_parameters`` →
+:meth:`SketchStoreIndex.from_flat`, the same path the sharded backend
+takes per shard.
 
 All per-record sketch state lives in a
 :class:`~repro.core.store.ColumnarSketchStore` — a segmented columnar
@@ -170,8 +173,9 @@ class PlannedParameters:
     construction pinned over the full dataset — the frequent-element
     vocabulary, the residual threshold ``τ``, the shared hasher and the
     resolved space budget — plus the two derivation by-products
-    (``lookup`` and ``unique_hashes``) that :meth:`GBKMVIndex.build`
-    reuses so its single-pass ingest does not recompute them.
+    (``lookup`` and ``unique_hashes``) that the ingest reuses instead of
+    recomputing.  The fields are :meth:`SketchStoreIndex.from_flat`'s
+    keywords.
     """
 
     vocabulary: FrequentElementVocabulary
@@ -271,7 +275,7 @@ def _decode_elements(encoded: Sequence[Sequence[object]]) -> list[object]:
         elif tag == "bytes":
             decoded.append(base64.b64decode(str(payload)))
         else:
-            raise ConfigurationError(f"unknown vocabulary element tag {tag!r}")
+            raise SnapshotFormatError(f"unknown vocabulary element tag {tag!r}")
     return decoded
 
 
@@ -283,11 +287,17 @@ def _json_payload(path, data, key: str, backend_id: str) -> dict:
             "use repro.api.open_index for other backends"
         )
     try:
-        return json.loads(str(data[key][()]))
+        meta = json.loads(str(data[key][()]))
     except json.JSONDecodeError as error:
         raise SnapshotFormatError(
             f"malformed {backend_id} snapshot metadata: {error}"
         ) from error
+    if not isinstance(meta, dict):
+        raise SnapshotFormatError(
+            f"malformed {backend_id} snapshot metadata: a JSON "
+            f"{type(meta).__name__}, not an object"
+        )
+    return meta
 
 
 @dataclass(frozen=True)
@@ -391,17 +401,24 @@ class SketchStoreIndex(SimilarityIndex):
     The families — GB-KMV in :class:`GBKMVIndex` (G-KMV is its
     zero-buffer subclass) and plain KMV in
     :class:`~repro.baselines.kmv_search.KMVSearchIndex` — differ only in
-    which hash values a record or query keeps and in how a pair sharing
-    a stored value is estimated.  Everything else exists here, once: the
+    how their global parameters are planned, which hash values a record
+    or query keeps and how a pair sharing a stored value is estimated.
+    Everything else exists here, once: the
     :class:`~repro.core.store.ColumnarSketchStore` that owns every row
-    (stable ids, tombstones, compaction), the dynamic operations, the
-    pair-then-sweep query engine and the snapshot I/O.  A family
-    supplies the hooks below.
+    (stable ids, tombstones, compaction), the build primitives
+    (:meth:`from_flat`, :meth:`from_parameters`), the dynamic
+    operations, the pair-then-sweep query engine and the snapshot I/O.
+    A family supplies the hooks below.
     """
 
     capabilities = Capabilities(
         dynamic=True, batched=True, persistent=True, exact=False, scored=True
     )
+
+    #: The keywords of a plan (see :meth:`plan_parameters`) that are not
+    #: constructor parameters but by-products of planning over a flattened
+    #: dataset, which :meth:`_ingest_bulk` reuses instead of recomputing.
+    _INGEST_HINTS: tuple[str, ...] = ("unique_hashes",)
 
     def __init__(self, hasher: UnitHash, budget: float, signature_bits: int) -> None:
         self._hasher = hasher
@@ -410,6 +427,9 @@ class SketchStoreIndex(SimilarityIndex):
         #: Footprint of the most recent fused workload pass (``search_many``
         #: / ``top_k_many``), or ``None`` before the first one.
         self.last_workload_stats: WorkloadExecutionStats | None = None
+        #: Per-stage wall-clock breakdown of the bulk build that produced
+        #: this index, or ``None`` when no bulk build ran.
+        self.last_build_profile: BuildProfile | None = None
 
     # ---------------------------------------------------------- family hooks
     @abstractmethod
@@ -421,9 +441,36 @@ class SketchStoreIndex(SimilarityIndex):
         """The values kept of ``num_elements`` elements' sorted distinct hashes,
         and whether they are all of them (an exact sketch)."""
 
+    @classmethod
     @abstractmethod
-    def _ingest_bulk(self, flat: FlatRecords) -> np.ndarray:
-        """Sketch a flattened batch in bulk and append it; returns its ids."""
+    def plan_parameters(
+        cls, flat: FlatRecords, profile: BuildProfile | None = None, **settings
+    ):
+        """Algorithm 1's global parameters, derived once over a whole dataset.
+
+        ``settings`` are the family config's fields but ``method``.  The
+        returned plan's fields are :meth:`from_flat`'s keywords.
+        """
+
+    @classmethod
+    @abstractmethod
+    def _build_per_record(
+        cls, records: Sequence[Iterable[object]], **settings
+    ) -> "SketchStoreIndex":
+        """The paper-literal record-at-a-time construction (the oracle)."""
+
+    @abstractmethod
+    def _ingest_bulk(
+        self,
+        flat: FlatRecords,
+        unique_hashes: np.ndarray | None = None,
+        profile: BuildProfile | None = None,
+    ) -> np.ndarray:
+        """Sketch a flattened batch in bulk and append it; returns its ids.
+
+        ``unique_hashes`` are the hashes of ``flat.unique_fingerprints``
+        when the caller already has them.
+        """
 
     @abstractmethod
     def _residual_estimates(
@@ -456,6 +503,85 @@ class SketchStoreIndex(SimilarityIndex):
         """
         config = cls.resolve_config(config)
         return cls.build(records, **dataclasses.asdict(config))
+
+    @classmethod
+    def _build(
+        cls, records: Sequence[Iterable[object]], method: str, **settings
+    ) -> "SketchStoreIndex":
+        """Algorithm 1 under ``settings``, :meth:`plan_parameters`' keywords.
+
+        ``method="bulk"`` flattens the dataset once, plans once and
+        sketches through :meth:`from_flat`; ``"per-record"`` is the
+        family's record-at-a-time construction, kept verbatim as the
+        oracle the bulk path must equal bit for bit.
+        """
+        cls._check_build_method(method)
+        if method == "per-record":
+            return cls._build_per_record(records, **settings)
+        profile = BuildProfile()
+        flat = flatten_records(records, profile=profile)
+        plan = cls.plan_parameters(flat, profile=profile, **settings)
+        return cls.from_flat(flat, profile=profile, **vars(plan))
+
+    @classmethod
+    def _pinned(cls, plan: dict) -> tuple["SketchStoreIndex", dict]:
+        """An empty index under a plan's parameters, and the plan's ingest hints."""
+        parameters = dict(plan)
+        hints = {
+            name: parameters.pop(name)
+            for name in cls._INGEST_HINTS
+            if name in parameters
+        }
+        return cls(**parameters), hints
+
+    @classmethod
+    def from_flat(
+        cls, flat: FlatRecords, profile: BuildProfile | None = None, **plan
+    ) -> "SketchStoreIndex":
+        """Sketch an already-flattened dataset under pinned parameters.
+
+        ``plan`` holds the constructor's parameters and, optionally, the
+        :attr:`_INGEST_HINTS` planned over the dataset ``flat`` was
+        flattened from.  ``flat`` may be a
+        :func:`~repro.core.bulk.slice_flat_records` view of that dataset
+        (only its per-occurrence columns and its ``inverse`` into the
+        shared universe are read), which is how the sharded planner
+        sketches every shard without hashing anything twice.
+        """
+        index, hints = cls._pinned(plan)
+        index._ingest_bulk(flat, profile=profile, **hints)
+        index.last_build_profile = profile
+        return index
+
+    @classmethod
+    def from_parameters(
+        cls, records: Sequence[Iterable[object]], method: str = "bulk", **plan
+    ) -> "SketchStoreIndex":
+        """Sketch a dataset under *pinned* parameters (no planning).
+
+        The rebuild primitive of the dynamic-data story: given the
+        parameters of an existing index, produce a freshly constructed
+        index whose sketches, and therefore search results, are bitwise
+        identical to what incremental maintenance of the original yields.
+        ``method="bulk"`` ingests through the flatten-once pipeline;
+        ``"per-record"`` is an empty index under the parameters followed
+        by one :meth:`_add_record` per record.  Ingest hints in ``plan``
+        describe the dataset they were planned over, not ``records``, so
+        they are not used.
+        """
+        cls._check_build_method(method)
+        index, _ = cls._pinned(plan)
+        if method == "bulk":
+            profile = BuildProfile()
+            index._ingest_bulk(flatten_records(records, profile=profile), profile=profile)
+            index.last_build_profile = profile
+            return index
+        for record in records:
+            materialized = set(record)
+            if not materialized:
+                raise ConfigurationError("records must be non-empty sets of elements")
+            index._add_record(materialized)
+        return index
 
     @staticmethod
     def _check_build_method(method: str) -> None:
@@ -720,8 +846,9 @@ class SketchStoreIndex(SimilarityIndex):
         Raises
         ------
         SnapshotFormatError
-            If the path is not a snapshot of this family or was written
-            by an unsupported format version.
+            If the path is not a snapshot of this family, was written by
+            an unsupported format version, or records a missing or
+            malformed parameter.
         ConfigurationError
             If ``mmap=True`` on an npz snapshot (compressed archives
             cannot be mapped).
@@ -743,7 +870,12 @@ class SketchStoreIndex(SimilarityIndex):
                 f"unsupported index snapshot version {version!r} "
                 f"(this build reads version {cls.SNAPSHOT_FORMAT_VERSION})"
             )
-        index = cls._from_snapshot_meta(meta)
+        try:
+            index = cls._from_snapshot_meta(meta)
+        except (KeyError, OverflowError, TypeError, ValueError) as error:
+            raise SnapshotFormatError(
+                f"malformed {cls.backend_id} snapshot parameters: {error!r}"
+            ) from error
         try:
             store = ColumnarSketchStore.from_state(arrays)
         except KeyError as error:
@@ -1155,6 +1287,7 @@ class GBKMVIndex(SketchStoreIndex):
 
     backend_id = "gbkmv"
     config_type = GBKMVConfig
+    _INGEST_HINTS = ("lookup", "unique_hashes")
 
     def __init__(
         self,
@@ -1166,9 +1299,6 @@ class GBKMVIndex(SketchStoreIndex):
         super().__init__(hasher, budget, signature_bits=vocabulary.size)
         self._vocabulary = vocabulary
         self._threshold = float(threshold)
-        #: Per-stage wall-clock breakdown of the bulk build that produced
-        #: this index, or ``None`` when no bulk build ran.
-        self.last_build_profile: BuildProfile | None = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -1213,43 +1343,16 @@ class GBKMVIndex(SketchStoreIndex):
             historical record-at-a-time path, kept verbatim as the
             benchmark baseline; both produce bitwise-identical indexes.
         """
-        cls._check_build_method(method)
-        if method == "per-record":
-            return cls._build_per_record(
-                records,
-                space_fraction=space_fraction,
-                space_budget=space_budget,
-                buffer_size=buffer_size,
-                hasher=hasher,
-                seed=seed,
-                cost_model_pair_sample=cost_model_pair_sample,
-            )
-        profile = BuildProfile()
-        flat = flatten_records(records, profile=profile)
-        params = cls.plan_parameters(
-            flat,
+        return cls._build(
+            records,
+            method,
             space_fraction=space_fraction,
             space_budget=space_budget,
             buffer_size=buffer_size,
             hasher=hasher,
             seed=seed,
             cost_model_pair_sample=cost_model_pair_sample,
-            profile=profile,
         )
-        index = cls(
-            vocabulary=params.vocabulary,
-            threshold=params.threshold,
-            hasher=params.hasher,
-            budget=params.budget,
-        )
-        index._ingest_bulk(
-            flat,
-            lookup=params.lookup,
-            unique_hashes=params.unique_hashes,
-            profile=profile,
-        )
-        index.last_build_profile = profile
-        return index
 
     @classmethod
     def plan_parameters(
@@ -1269,11 +1372,10 @@ class GBKMVIndex(SketchStoreIndex):
         sizing, vocabulary selection, residual threshold ``τ`` — over an
         already-flattened dataset and returns the pinned parameters
         instead of a built index.  :meth:`build` is exactly this followed
-        by one bulk ingest; the sharded backend runs it once over the
+        by :meth:`from_flat`; the sharded backend runs it once over the
         *full* dataset and then sketches every shard with
-        :meth:`from_parameters`, which is what makes per-shard sketches
-        (and merged search results) bitwise identical to the unsharded
-        index.
+        :meth:`from_flat`, which is what makes per-shard sketches (and
+        merged search results) bitwise identical to the unsharded index.
         """
         if hasher is None:
             hasher = UnitHash(seed=seed)
@@ -1343,12 +1445,12 @@ class GBKMVIndex(SketchStoreIndex):
     def _build_per_record(
         cls,
         records: Sequence[Iterable[object]],
-        space_fraction: float,
-        space_budget: float | None,
-        buffer_size: int | str,
-        hasher: UnitHash | None,
-        seed: int,
-        cost_model_pair_sample: int,
+        space_fraction: float = 0.10,
+        space_budget: float | None = None,
+        buffer_size: int | str = "auto",
+        hasher: UnitHash | None = None,
+        seed: int = 0,
+        cost_model_pair_sample: int = 256,
     ) -> "GBKMVIndex":
         """The historical record-at-a-time Algorithm 1 (benchmark baseline).
 
@@ -1407,80 +1509,6 @@ class GBKMVIndex(SketchStoreIndex):
             index._add_record(record)
         return index
 
-    @classmethod
-    def from_parameters(
-        cls,
-        records: Sequence[Iterable[object]],
-        vocabulary: FrequentElementVocabulary,
-        threshold: float,
-        hasher: UnitHash,
-        budget: float,
-        method: str = "bulk",
-    ) -> "GBKMVIndex":
-        """Sketch a dataset under *pinned* parameters (no cost model).
-
-        The rebuild primitive of the dynamic-data story: given the
-        vocabulary, threshold and hasher of an existing index, produce a
-        freshly constructed index whose sketches — and therefore search
-        results — are bitwise identical to what incremental maintenance
-        of the original index yields.  Also the baseline the
-        ``test_dynamic_store`` benchmark charges for rebuilding from
-        scratch on every batch of insertions; ``method`` picks the bulk
-        pipeline (default) or the historical per-record loop.
-        """
-        cls._check_build_method(method)
-        index = cls(
-            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
-        )
-        if method == "bulk":
-            profile = BuildProfile()
-            index._ingest_bulk(
-                flatten_records(records, profile=profile), profile=profile
-            )
-            index.last_build_profile = profile
-        else:
-            for record in records:
-                materialized = set(record)
-                if not materialized:
-                    raise ConfigurationError(
-                        "records must be non-empty sets of elements"
-                    )
-                index._add_record(materialized)
-        return index
-
-    @classmethod
-    def from_flat(
-        cls,
-        flat: FlatRecords,
-        vocabulary: FrequentElementVocabulary,
-        threshold: float,
-        hasher: UnitHash,
-        budget: float,
-        lookup: VocabularyLookup | None = None,
-        unique_hashes: np.ndarray | None = None,
-        profile: BuildProfile | None = None,
-    ) -> "GBKMVIndex":
-        """Sketch an already-flattened dataset under pinned parameters.
-
-        The flatten-once rebuild primitive: :meth:`from_parameters`
-        without the re-flatten.  The sharded planner flattens (and
-        fingerprints) the full dataset exactly once, slices per-shard
-        :func:`~repro.core.bulk.slice_flat_records` views out of it, and
-        hands each view here together with the once-planned ``lookup``
-        and ``unique_hashes`` — so neither hashing nor the frequency
-        pass ever runs twice.  ``flat`` may be such a slice: only its
-        per-occurrence columns and ``inverse``-into-``unique_hashes``
-        contract are consumed.
-        """
-        index = cls(
-            vocabulary=vocabulary, threshold=threshold, hasher=hasher, budget=budget
-        )
-        index._ingest_bulk(
-            flat, lookup=lookup, unique_hashes=unique_hashes, profile=profile
-        )
-        index.last_build_profile = profile
-        return index
-
     def _split(self, record: Iterable[object]) -> tuple[int, list]:
         buffer, residual = self._vocabulary.split_record(record)
         return buffer.mask, residual
@@ -1492,8 +1520,8 @@ class GBKMVIndex(SketchStoreIndex):
     def _ingest_bulk(
         self,
         flat: FlatRecords,
-        lookup=None,
-        unique_hashes=None,
+        lookup: VocabularyLookup | None = None,
+        unique_hashes: np.ndarray | None = None,
         profile: BuildProfile | None = None,
     ) -> np.ndarray:
         """Sketch a flattened batch in bulk and append it in one staged merge.

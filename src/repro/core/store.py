@@ -37,8 +37,8 @@ record in O(1) (searches skip it immediately), :meth:`replace` swaps a
 record's sketch under the same id, and once the tombstoned fraction
 crosses ``compact_ratio`` the next :meth:`finalize` physically compacts
 the columns, filtering (never re-sorting) the derived caches.  The full
-segment state round-trips through npz snapshots via :meth:`save` /
-:meth:`load`.
+segment state round-trips through :meth:`state_arrays` /
+:meth:`from_state`, which every index snapshot writes and reads.
 
 On top of the columns the store offers the *fused whole-workload*
 kernels the query engine of every sketch family is built from:
@@ -60,7 +60,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro._errors import ConfigurationError
+from repro._errors import ConfigurationError, SnapshotFormatError
 from repro.core.profiling import BuildProfile
 from repro.core.sorting import stable_argsort
 
@@ -636,10 +636,6 @@ class ColumnarSketchStore:
             ),
         }
 
-    def save(self, path) -> None:
-        """Snapshot the store to an npz file (see :meth:`load`)."""
-        np.savez_compressed(path, **self.state_arrays())
-
     @classmethod
     def from_state(
         cls,
@@ -650,7 +646,7 @@ class ColumnarSketchStore:
         meta = np.asarray(arrays["store_meta"], dtype=np.int64)
         version, signature_bits, next_id = (int(x) for x in meta)
         if version != SNAPSHOT_VERSION:
-            raise ConfigurationError(
+            raise SnapshotFormatError(
                 f"unsupported store snapshot version {version} "
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
@@ -681,13 +677,6 @@ class ColumnarSketchStore:
             )
         )
         return store
-
-    @classmethod
-    def load(cls, path) -> "ColumnarSketchStore":
-        """Inverse of :meth:`save`."""
-        with np.load(path) as data:
-            arrays = {name: data[name] for name in data.files}
-        return cls.from_state(arrays)
 
     # -------------------------------------------------------- introspection
     @property

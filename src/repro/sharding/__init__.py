@@ -15,13 +15,16 @@ Package layout
     Deterministic record-id → shard routing (SplitMix64 over the id) and
     the reconstruction of the full routing tables from a record count.
 ``executor``
-    The order-preserving thread-pool fan-out primitive.
+    The order-preserving thread-pool fan-out primitive, for both
+    queries and construction.
 ``merge``
     Local-id → global-id remapping and the global result-order merge.
 ``planner``
     Builds the per-shard inner indexes under globally pinned parameters,
     which is what makes sharded search results bitwise identical to the
-    unsharded backend for the native sketch backends.
+    unsharded backend for the native sketch backends: every
+    :class:`~repro.core.index.SketchStoreIndex` family is flattened and
+    planned once and sketched per shard through its shared ``from_flat``.
 ``persistence``
     The directory-of-shard-snapshots format behind ``save``/``load``.
 ``backend``

@@ -39,7 +39,7 @@ from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import get_backend
 from repro.api.results import SearchResult
 from repro.sharding.executor import ShardExecutor
-from repro.sharding.merge import merge_query_hits, merge_workload_hits
+from repro.sharding.merge import merge_workload_hits
 from repro.sharding.partitioner import routing_tables, shard_of, shards_of
 from repro.sharding.persistence import load_sharded, save_sharded
 from repro.sharding.planner import build_shards
@@ -139,7 +139,6 @@ class ShardedIndex(SimilarityIndex):
             config.inner_backend,
             config.inner_config,
             build_workers=config.build_workers,
-            build_executor=config.build_executor,
             profile=profile,
         )
         index = cls(
@@ -158,13 +157,9 @@ class ShardedIndex(SimilarityIndex):
         threshold: float,
         query_size: int | None = None,
     ) -> list[SearchResult]:
-        """Fan one query across all shards; merge into the global order."""
-        materialized = _materialize_record(query)
-        per_shard = self._executor.map(
-            lambda shard: shard.search(materialized, threshold, query_size=query_size),
-            self._shards,
-        )
-        return merge_query_hits(per_shard, self._globals())
+        """A one-query :meth:`search_many` call."""
+        sizes = None if query_size is None else [query_size]
+        return self.search_many([query], threshold, query_sizes=sizes)[0]
 
     def search_many(
         self,
@@ -192,16 +187,9 @@ class ShardedIndex(SimilarityIndex):
     def top_k(
         self, query: Iterable[object], k: int, query_size: int | None = None
     ) -> list[SearchResult]:
-        """Exact fan-out top-k: merge per-shard top-k lists, truncate to k."""
-        if not self.capabilities.scored:
-            raise self._unsupported("top_k", "does not produce meaningful scores")
-        k = positive_k(k)
-        materialized = _materialize_record(query)
-        per_shard = self._executor.map(
-            lambda shard: shard.top_k(materialized, k, query_size=query_size),
-            self._shards,
-        )
-        return merge_query_hits(per_shard, self._globals(), limit=k)
+        """A one-query :meth:`top_k_many` call."""
+        sizes = None if query_size is None else [query_size]
+        return self.top_k_many([query], k, query_sizes=sizes)[0]
 
     def top_k_many(
         self,
@@ -209,7 +197,7 @@ class ShardedIndex(SimilarityIndex):
         k: int,
         query_sizes: Sequence[int] | None = None,
     ) -> list[list[SearchResult]]:
-        """Workload variant of :meth:`top_k` (parallel across shards)."""
+        """Exact fan-out top-k: merge per-shard top-k lists, truncate to k."""
         if not self.capabilities.scored:
             raise self._unsupported(
                 "top_k_many", "does not produce meaningful scores"

@@ -150,7 +150,11 @@ class TestMixedStreamMatchesFreshIndex:
         extra = zipf_records[120:160]
         built = GBKMVIndex.build(base, space_fraction=0.2, buffer_size=4)
         index = GBKMVIndex.from_parameters(
-            base, built.vocabulary, built.threshold, built.hasher, built.budget
+            base,
+            vocabulary=built.vocabulary,
+            threshold=built.threshold,
+            hasher=built.hasher,
+            budget=built.budget,
         )
         index.store.finalize()
         for record in extra:
@@ -158,10 +162,10 @@ class TestMixedStreamMatchesFreshIndex:
             index.search(record, 0.5)  # force an incremental merge each step
         fresh = GBKMVIndex.from_parameters(
             list(base) + list(extra),
-            built.vocabulary,
-            built.threshold,
-            built.hasher,
-            built.budget,
+            vocabulary=built.vocabulary,
+            threshold=built.threshold,
+            hasher=built.hasher,
+            budget=built.budget,
         )
         queries = [zipf_records[i] for i in (0, 60, 125, 155)]
         incremental_results = index.search_many(queries, 0.3)
@@ -188,10 +192,10 @@ class TestMixedStreamMatchesFreshIndex:
             index.insert(record)
         fresh = GBKMVIndex.from_parameters(
             list(base) + list(extra) + list(late),
-            index.vocabulary,
-            index.threshold,
-            index.hasher,
-            index.budget,
+            vocabulary=index.vocabulary,
+            threshold=index.threshold,
+            hasher=index.hasher,
+            budget=index.budget,
         )
         queries = [zipf_records[i] for i in (10, 160, 225)]
         assert [

@@ -130,8 +130,58 @@ class TestBaselineRoundTrips:
         )
 
 
+#: The parameters each sketch family's snapshot metadata records.
+_SNAPSHOT_META_KEYS = {
+    "gbkmv": ("format_version", "threshold", "budget", "hasher_seed", "vocabulary"),
+    "gkmv": ("format_version", "threshold", "budget", "hasher_seed", "vocabulary"),
+    "kmv": ("format_version", "k_per_record", "budget", "hasher_seed"),
+}
+_MALFORMED_SNAPSHOTS = [
+    (backend, case)
+    for backend, keys in _SNAPSHOT_META_KEYS.items()
+    for case in (
+        *(f"drop-{key}" for key in keys),
+        *(f"{key}-x" for key in keys),
+        "meta-list",
+        "store-version-999",
+    )
+]
+
+
 class TestSnapshotFormat:
     """Self-describing snapshots: tags, legacy payloads, clear failures."""
+
+    @pytest.mark.parametrize("backend,case", _MALFORMED_SNAPSHOTS)
+    def test_malformed_parameters_raise_snapshot_format_error(
+        self, zipf_records, tmp_path, backend, case
+    ):
+        import json
+
+        from repro._errors import SnapshotFormatError
+        from repro.api import open_index
+
+        cls = {"gbkmv": GBKMVIndex, "gkmv": GKMVSearchIndex, "kmv": KMVSearchIndex}[backend]
+        path = tmp_path / "index.npz"
+        cls.build(zipf_records[:40], space_fraction=0.2).save(path)
+        with np.load(path) as data:
+            arrays = {name: data[name] for name in data.files}
+        meta = json.loads(str(arrays["index_meta"][()]))
+        assert sorted(meta) == sorted(_SNAPSHOT_META_KEYS[backend])
+        if case == "meta-list":
+            meta = [meta]
+        elif case == "store-version-999":
+            arrays["store_meta"] = arrays["store_meta"].copy()
+            arrays["store_meta"][0] = 999
+        elif case.startswith("drop-"):
+            del meta[case[len("drop-"):]]
+        else:
+            meta[case[: -len("-x")]] = "x"
+        arrays["index_meta"] = np.array(json.dumps(meta))
+        bad_path = tmp_path / "bad.npz"
+        np.savez_compressed(bad_path, **arrays)
+        for loader in (open_index, cls.load):
+            with pytest.raises(SnapshotFormatError):
+                loader(bad_path)
 
     def test_version_mismatch_raises_snapshot_format_error(
         self, tiny_records, tmp_path

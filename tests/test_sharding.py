@@ -1,5 +1,7 @@
 """Sharded backend: routing, bitwise identity, persistence, validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -598,39 +600,47 @@ def test_parallel_build_identical_to_serial(inner_backend, num_shards):
         parallel.close()
 
 
-@pytest.mark.parametrize("inner_backend", ["gbkmv", "kmv"])
-def test_process_pool_build_identical_to_serial(inner_backend):
-    records = _dataset(num_records=120)
-    queries = _queries()
-    serial = create_index(
-        "sharded",
-        records,
-        ShardedConfig(
-            num_shards=4,
-            inner_backend=inner_backend,
-            inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=1,
-        ),
+@pytest.mark.parametrize("inner_backend", ["gbkmv", "gkmv", "kmv"])
+def test_sharded_build_rejects_an_unknown_method(inner_backend):
+    config = dataclasses.replace(_INNER_CONFIGS[inner_backend], method="bogus")
+    with pytest.raises(ConfigurationError, match="construction method"):
+        create_index(
+            "sharded",
+            _dataset(200),
+            ShardedConfig(num_shards=2, inner_backend=inner_backend, inner_config=config),
+        )
+
+
+@pytest.mark.parametrize("inner_backend", ["gbkmv", "gkmv", "kmv"])
+@pytest.mark.parametrize("num_records", [6, 200])
+def test_per_record_sharded_build_identical_to_bulk(inner_backend, num_records):
+    # Eight shards over six records leave at least two of them empty.
+    records = _dataset(num_records)
+    bulk_config = _INNER_CONFIGS[inner_backend]
+    per_record_config = dataclasses.replace(bulk_config, method="per-record")
+    bulk, per_record = (
+        create_index(
+            "sharded",
+            records,
+            ShardedConfig(num_shards=8, inner_backend=inner_backend, inner_config=config),
+        )
+        for config in (bulk_config, per_record_config)
     )
-    process = create_index(
-        "sharded",
-        records,
-        ShardedConfig(
-            num_shards=4,
-            inner_backend=inner_backend,
-            inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=2,
-            build_executor="process",
-        ),
-    )
+    unsharded = create_index(inner_backend, records, per_record_config)
     try:
-        assert_identical_shard_states(serial, process)
+        assert all(shard.last_build_profile is None for shard in per_record.shards)
+        # Every shard carries an equal slice of the one planned budget.
+        for index in (bulk, per_record):
+            budgets = [shard.budget for shard in index.shards]
+            assert budgets == [budgets[0]] * 8
+            assert sum(budgets) == pytest.approx(unsharded.budget)
+        assert_identical_shard_states(bulk, per_record)
         assert_identical_workload(
-            serial.search_many(queries, 0.5), process.search_many(queries, 0.5)
+            bulk.search_many(_queries(), 0.3), per_record.search_many(_queries(), 0.3)
         )
     finally:
-        serial.close()
-        process.close()
+        bulk.close()
+        per_record.close()
 
 
 def test_parallel_build_identical_to_unsharded_gbkmv():
@@ -680,15 +690,6 @@ def test_build_profile_rows_sum_to_dataset_size():
         index.close()
 
 
-def test_invalid_build_executor_rejected():
-    with pytest.raises(ConfigurationError, match="executor kind"):
-        create_index(
-            "sharded",
-            _dataset(num_records=20),
-            ShardedConfig(num_shards=2, build_executor="fiber"),
-        )
-
-
 # ------------------------------------------------------- executor
 def test_executor_runs_inline_on_one_worker():
     executor = ShardExecutor(4, max_workers=1)
@@ -714,8 +715,3 @@ def test_executor_caps_workers_at_shard_count():
     executor = ShardExecutor(2, max_workers=16)
     assert executor.workers == 2
     executor.close()
-
-
-def test_executor_rejects_unknown_kind():
-    with pytest.raises(ConfigurationError, match="executor kind"):
-        ShardExecutor(2, kind="fiber")
