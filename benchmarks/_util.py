@@ -4,9 +4,9 @@ Every benchmark module regenerates one table or figure of the paper on
 proxy datasets (see ``repro.datasets.proxies`` and DESIGN.md for the
 substitution rationale).  The helpers here keep the modules declarative:
 they load (and cache) proxies, run the standard query workload, evaluate
-methods, and write a plain-text report both to stdout and to
-``benchmarks/results/<name>.txt`` so the regenerated rows survive pytest's
-output capturing.
+methods, and print a plain-text report; with ``REPRO_BENCH_RECORD=1``
+they also write it to ``benchmarks/results/<name>.txt``, and the
+micro-benchmarks write their ``BENCH_*.json`` at the repository root.
 
 Environment knobs
 -----------------
@@ -15,10 +15,15 @@ Environment knobs
     a slower, higher-fidelity run.
 ``REPRO_BENCH_QUERIES``
     Number of queries per workload (default ``30``; the paper uses 200).
+``REPRO_BENCH_RECORD``
+    ``1`` writes the reports and ``BENCH_*.json`` files to disk, replacing
+    the committed ones; any other value (the default) only prints, so a
+    test run leaves the tree as it was.
 """
 
 from __future__ import annotations
 
+import json
 import os
 from functools import lru_cache
 from pathlib import Path
@@ -45,6 +50,17 @@ def bench_scale() -> float:
 def bench_num_queries() -> int:
     """Workload size, from ``REPRO_BENCH_QUERIES`` (default 30)."""
     return int(os.environ.get("REPRO_BENCH_QUERIES", "30"))
+
+
+def bench_record() -> bool:
+    """Whether to write reports to disk, from ``REPRO_BENCH_RECORD``."""
+    return os.environ.get("REPRO_BENCH_RECORD") == "1"
+
+
+def record_json(path: Path, payload: dict) -> None:
+    """Write a ``BENCH_*.json`` payload, when :func:`bench_record` says so."""
+    if bench_record():
+        path.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 @lru_cache(maxsize=None)
@@ -96,10 +112,12 @@ def evaluate_methods(
 
 
 def write_report(name: str, title: str, headers: Sequence[str], rows: Sequence[Sequence[object]]) -> str:
-    """Render a table, print it, and persist it under ``benchmarks/results/``."""
+    """Render a table, print it, and persist it under ``benchmarks/results/``
+    when :func:`bench_record` says so."""
     table = format_table(headers, rows)
     report = f"{title}\n{'=' * len(title)}\n(scale={bench_scale()}, queries={bench_num_queries()})\n\n{table}\n"
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(report, encoding="utf-8")
+    if bench_record():
+        RESULTS_DIR.mkdir(parents=True, exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(report, encoding="utf-8")
     print(f"\n{report}")
     return report

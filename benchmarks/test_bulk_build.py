@@ -30,18 +30,18 @@ Asserted invariants:
 * ``insert_many`` beats looping ``insert`` over the 2k-insert stream,
   with identical post-ingest store state and search results.
 
-Results land in ``BENCH_bulk_build.json`` at the repository root.
+With ``REPRO_BENCH_RECORD=1``, results land in ``BENCH_bulk_build.json``
+at the repository root.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import bench_num_queries, bench_scale, record_json, write_report
 
 from repro.baselines import KMVSearchIndex
 from repro.core import GBKMVIndex
@@ -220,7 +220,7 @@ def _run() -> dict[str, object]:
         "build_profile": bulk_index.last_build_profile.as_dict(),
         "identical_results": bool(identical_results and insert_identical),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    record_json(BENCH_JSON, payload)
     return payload
 
 

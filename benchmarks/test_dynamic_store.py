@@ -40,19 +40,19 @@ Asserted invariants:
 A mixed insert/delete/query stream (the new
 :func:`~repro.datasets.build_dynamic_workload` /
 :func:`~repro.evaluation.evaluate_dynamic_stream` path) is also replayed
-to record end-to-end accuracy under churn.  Results land in
-``BENCH_dynamic_store.json`` at the repository root.
+to record end-to-end accuracy under churn.  With
+``REPRO_BENCH_RECORD=1``, results land in ``BENCH_dynamic_store.json`` at
+the repository root.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import bench_num_queries, bench_scale, record_json, write_report
 
 from repro.core import GBKMVIndex
 from repro.datasets import build_dynamic_workload, generate_zipf_dataset, sample_queries
@@ -290,7 +290,7 @@ def _run(tmp_path: Path) -> dict[str, object]:
             "full_budget_f1": round(exact.accuracy.f1, 4),
         },
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    record_json(BENCH_JSON, payload)
     return payload
 
 

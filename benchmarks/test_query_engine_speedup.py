@@ -30,20 +30,19 @@ Asserted invariants:
   matrix is never materialised — the peak per-block footprint is at
   most ``B × row_block_size`` cells.
 
-The measured throughputs and the engine's execution footprint are
-written to ``BENCH_query_engine.json`` at the repository root so future
-PRs can track the trajectory.
+With ``REPRO_BENCH_RECORD=1``, the measured throughputs and the engine's
+execution footprint are written to ``BENCH_query_engine.json`` at the
+repository root, where the trajectory is tracked.
 """
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import bench_num_queries, bench_scale, record_json, write_report
 
 from repro.core import GBKMVIndex
 from repro.datasets import generate_zipf_dataset, sample_queries
@@ -211,7 +210,7 @@ def _run() -> dict[str, object]:
         },
         "identical_results": True,
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    record_json(BENCH_JSON, payload)
     return payload
 
 

@@ -30,21 +30,20 @@ end.  Asserted invariants:
   the comparison without the guard: the event loop and the worker lane
   contend for one core, so fusion only saves per-call overhead).
 
-Results (including ``cpu_count``, so a single-core table cannot be
-mistaken for a fusion failure) land in ``BENCH_serving.json`` at the
-repository root.
+With ``REPRO_BENCH_RECORD=1``, results (including ``cpu_count``, so a
+single-core table cannot be mistaken for a fusion failure) land in
+``BENCH_serving.json`` at the repository root.
 """
 
 from __future__ import annotations
 
 import asyncio
-import json
 import os
 from pathlib import Path
 
 import numpy as np
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import bench_num_queries, bench_scale, record_json, write_report
 
 from repro.api import GBKMVConfig, ServingConfig, create_index
 from repro.serving import SimilarityService, run_load
@@ -238,7 +237,7 @@ def _run() -> dict[str, object]:
         "guard_enforced": guard_applies,
         "identical_results": True,  # _assert_identity raised otherwise
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    record_json(BENCH_JSON, payload)
     return payload
 
 

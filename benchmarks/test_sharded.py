@@ -37,21 +37,20 @@ Every build also attaches its per-stage profile (flatten / vocabulary /
 sketch / append wall-clock from ``last_build_profile``), so the table
 shows *where* construction time goes as the shard count grows.
 
-Results (including ``cpu_count``, so a 1-core table cannot be mistaken
-for a scaling failure) land in ``BENCH_sharded.json`` at the repository
-root.
+With ``REPRO_BENCH_RECORD=1``, results (including ``cpu_count``, so a
+1-core table cannot be mistaken for a scaling failure) land in
+``BENCH_sharded.json`` at the repository root.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from pathlib import Path
 
 import numpy as np
 
-from _util import bench_num_queries, bench_scale, write_report
+from _util import bench_num_queries, bench_scale, record_json, write_report
 
 from repro.api import GBKMVConfig, ShardedConfig, create_index
 from repro.core import GBKMVIndex
@@ -282,7 +281,7 @@ def _run() -> dict[str, object]:
         },
         "identical_results": bool(identical and parallel_identical),
     }
-    BENCH_JSON.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    record_json(BENCH_JSON, payload)
     return payload
 
 

@@ -9,31 +9,35 @@ the fused query engine it feeds.
 This module replaces the per-record inner loops with whole-dataset array
 passes:
 
-* :func:`flatten_records` flattens the dataset into one CSR pair (record
-  offsets + flat element column), fingerprints every element with a
-  single :func:`~repro.hashing.fingerprint_many` pass, and derives the
-  distinct-element universe — fingerprints, first-occurrence
-  representatives, per-occurrence inverse and frequencies.  On the
-  integer fast path a stable argsort of the fingerprint column yields
+* :func:`flatten_records` flattens the dataset into CSR form over its
+  distinct-value universe: record offsets, the sorted unique
+  fingerprints (one :func:`~repro.hashing.fingerprint_many` pass),
+  each occurrence's index into them (``inverse``) and each value's
+  frequency (``counts``).  On the integer fast path one in-place sort
+  of packed ``(fingerprint − min) << record_bits | record`` keys yields
   *both* the per-record dedup and the unique universe, and one sort of
   packed (record, unique rank) keys lays the survivors out in CSR order
   (:func:`_flatten_integer`); the generic path keeps ``np.unique`` over
   the fingerprint column.  The per-unique ``counts`` column is exactly
   the ``Counter`` the old build looped for (each record's elements are
-  distinct, so occurrences equal containing records).
+  distinct, so occurrences equal containing records).  Per-occurrence
+  fingerprints and elements are not stored: nothing in the build reads
+  them, and they are one gather of the universe away.
 * :func:`slice_flat_records` carves a per-record subset out of an
-  already-flattened dataset — CSR gathers only, no re-hashing and no
-  second frequency pass — which is how the sharded planner hands every
-  shard its records after flattening the dataset exactly once.
+  already-flattened dataset — a CSR gather of ``inverse``, no
+  re-hashing and no second frequency pass — which is how the sharded
+  planner hands every shard its records after flattening the dataset
+  exactly once.
 * :func:`bulk_sketch` turns a flattened dataset into the flat sketch
   columns a :class:`~repro.core.store.ColumnarSketchStore` ingests in one
   :meth:`~repro.core.store.ColumnarSketchStore.append_bulk` call: the
-  vocabulary buffer/residual split is one ``searchsorted`` membership
-  lookup over fingerprints, signature bitmaps are packed for all records
-  at once (segment-OR via ``bitwise_or.reduceat``), every unique
-  fingerprint is hashed exactly once, and each record's kept residual
-  hashes are selected with one global (record, value) sort +
-  segment-boundary reduction — no per-record ``np.unique``.
+  vocabulary membership and the ``τ`` cut are decided once per distinct
+  value and reach the occurrences through ``inverse``, signature bitmaps
+  are packed for all records at once (segment-OR via
+  ``bitwise_or.reduceat``), every unique fingerprint is hashed exactly
+  once, and each record's kept residual hashes are selected with one
+  global (record, value) sort + segment-boundary reduction — no
+  per-record ``np.unique``.
 
 Every whole-column stable sort of construction — here, in the
 cost model's threshold and in the store's join index — runs through
@@ -71,8 +75,8 @@ bulk path keeps the integer while the per-record path may keep the
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from itertools import chain
+from dataclasses import dataclass, replace
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -116,32 +120,36 @@ class FingerprintCollisionError(ConfigurationError):
 
 @dataclass(frozen=True)
 class FlatRecords:
-    """A dataset flattened to CSR form with a parallel fingerprint column.
+    """A dataset flattened to CSR form over its distinct-value universe.
 
-    ``elements[offsets[i]:offsets[i + 1]]`` are record ``i``'s *distinct*
-    elements (Python ``set`` semantics, exactly what the per-record path
-    materialises); ``fingerprints`` is parallel to ``elements``.  The
-    unique-universe view (``unique_fingerprints`` sorted ascending,
-    ``first_occurrence`` indices into ``elements``, per-occurrence
-    ``inverse``, per-unique ``counts``) equals ``np.unique`` over the
+    Record ``i``'s *distinct* elements (Python ``set`` semantics, exactly
+    what the per-record path materialises) are the occurrences
+    ``offsets[i]:offsets[i + 1]``.  ``unique_fingerprints`` is the
+    dataset's universe, sorted ascending; ``inverse`` holds each
+    occurrence's index into it and ``counts`` each value's number of
+    containing records — together, ``np.unique`` over the per-occurrence
     fingerprint column.
 
-    ``elements`` is a Python list on the generic path and an integer
-    ndarray on the dtype-aware fast path; use :meth:`element_at` /
-    :meth:`record_elements` / :meth:`representatives` to get native
-    Python elements either way (the within-record element *order* may
-    differ between the two paths — the fast path sorts by value — but
-    every downstream consumer reduces over records, so the resulting
-    sketches are identical).
+    Those four columns are all the build reads, so they are all that is
+    stored, plus the flat element list on the generic path, where an
+    element cannot be recovered from its fingerprint.  On the integer
+    path an element's fingerprint is its uint64 bit pattern, and
+    ``element_dtype`` casts it back.  The per-occurrence
+    :attr:`fingerprints` and :attr:`elements` columns and
+    :attr:`first_occurrence` are derived on each access, for inspection
+    and tests; use :meth:`record_elements` / :meth:`representatives` to
+    get native Python elements either way (the within-record element
+    *order* differs between the two paths — the integer path sorts by
+    fingerprint — but every downstream consumer reduces over records, so
+    the resulting sketches are identical).
     """
 
     offsets: np.ndarray
-    elements: list | np.ndarray
-    fingerprints: np.ndarray
     unique_fingerprints: np.ndarray
-    first_occurrence: np.ndarray
     inverse: np.ndarray
     counts: np.ndarray
+    element_list: list | None = None
+    element_dtype: np.dtype | None = None
 
     @property
     def num_records(self) -> int:
@@ -158,33 +166,62 @@ class FlatRecords:
         """Total distinct-per-record element occurrences."""
         return int(self.offsets[-1])
 
+    @property
+    def fingerprints(self) -> np.ndarray:
+        """Per-occurrence fingerprints: the universe gathered by ``inverse``."""
+        return self.unique_fingerprints[self.inverse]
+
+    @property
+    def elements(self) -> list | np.ndarray:
+        """The flat element column: a list, or an ndarray on the integer path."""
+        if self.element_list is not None:
+            return self.element_list
+        return self.fingerprints.astype(self.element_dtype)
+
+    @property
+    def first_occurrence(self) -> np.ndarray:
+        """Each unique fingerprint's first flat position (``-1`` if absent)."""
+        return self._first_positions(
+            np.arange(self.unique_fingerprints.size, dtype=np.int64)
+        )
+
     def record_elements(self, position: int) -> list:
-        """The distinct elements of one record (a slice of the flat column)."""
+        """The distinct elements of one record, as native Python objects."""
         start, stop = self.offsets[position], self.offsets[position + 1]
-        piece = self.elements[start:stop]
-        return piece.tolist() if isinstance(piece, np.ndarray) else piece
+        if self.element_list is not None:
+            return self.element_list[start:stop]
+        fingerprints = self.unique_fingerprints[self.inverse[start:stop]]
+        return fingerprints.astype(self.element_dtype).tolist()
 
-    def element_at(self, index: int) -> object:
-        """One flat-column element as a native Python object.
+    def representatives(self, positions: np.ndarray) -> list:
+        """One native element for each listed unique fingerprint.
 
-        The fast integer path stores ``elements`` as an ndarray of numpy
-        scalars; the vocabulary :func:`select_vocabulary` builds from
-        these holds the plain Python ints the generic path would.
+        On the integer path the element is the fingerprint cast back to
+        the element dtype; on the generic path it is the value's first
+        occurrence in flat order.  With collision-free fingerprints this
+        is *the* element, so frequency tables built on
+        ``zip(representatives(positions), counts[positions])`` match the
+        per-record ``Counter`` exactly.
         """
-        element = self.elements[index]
-        return element.item() if isinstance(element, np.generic) else element
+        if self.element_list is None:
+            return self.unique_fingerprints[positions].astype(self.element_dtype).tolist()
+        first = self._first_positions(positions)
+        return [self.element_list[index] for index in first.tolist()]
 
-    def representatives(self) -> list:
-        """One representative element per unique fingerprint.
+    def _first_positions(self, positions: np.ndarray) -> np.ndarray:
+        """First flat position of each listed unique fingerprint (``-1`` if absent).
 
-        The first occurrence in flat order; with collision-free
-        fingerprints this is *the* element, so frequency tables built on
-        ``zip(representatives(), counts)`` match the per-record
-        ``Counter`` exactly.
+        A reverse scatter over the listed values' occurrences only: later
+        writes win, so writing positions in descending order leaves each
+        value its smallest occurrence index.
         """
-        if isinstance(self.elements, np.ndarray):
-            return self.elements[self.first_occurrence].tolist()
-        return [self.elements[index] for index in self.first_occurrence.tolist()]
+        slot_of = np.full(self.unique_fingerprints.size, -1, dtype=np.int64)
+        slot_of[positions] = np.arange(len(positions), dtype=np.int64)
+        slots = slot_of[self.inverse]
+        hits = np.flatnonzero(slots >= 0)[::-1]
+        first = np.full(len(positions), -1, dtype=np.int64)
+        first[slots[hits]] = hits
+        return first
 
 
 def _integer_occurrences(
@@ -204,7 +241,7 @@ def _integer_occurrences(
     num_records = len(records)
     try:
         lengths = np.fromiter(map(len, records), dtype=np.int64, count=num_records)
-        if all(isinstance(record, np.ndarray) for record in records):
+        if all(map(isinstance, records, repeat(np.ndarray))):
             flat = np.concatenate(records) if num_records > 1 else records[0]
         else:
             probe = next(
@@ -225,87 +262,127 @@ def _integer_occurrences(
     return np.ascontiguousarray(flat), lengths
 
 
-def _first_occurrences(inverse: np.ndarray, num_unique: int) -> np.ndarray:
-    """First flat-column position of each unique fingerprint.
+def _run_starts(column: np.ndarray) -> np.ndarray:
+    """``True`` where a sorted column's value differs from its predecessor.
 
-    A reverse scatter over the inverse column: later writes win, so
-    writing positions in descending order leaves each unique its
-    smallest occurrence index (``np.unique(return_index=True)`` would
-    force a stable merge argsort to get the same answer).
+    The first element of every run of equal values, and position 0.
     """
-    first = np.empty(num_unique, dtype=np.int64)
-    positions = np.arange(inverse.size - 1, -1, -1, dtype=np.int64)
-    first[inverse[positions]] = positions
-    return first
+    starts = np.empty(column.size, dtype=bool)
+    starts[:1] = True
+    np.not_equal(column[1:], column[:-1], out=starts[1:])
+    return starts
+
+
+def _groups_by_packed_sort(
+    fingerprints: np.ndarray, raw_lengths: np.ndarray, record_bits: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct (fingerprint, record) pairs from one in-place packed sort.
+
+    Consumes ``fingerprints``: each becomes the key ``(fingerprint − min)
+    << record_bits | record``, which the caller has checked fits 64 bits.
+    Sorting the keys orders the occurrences by (fingerprint, record), so
+    equal adjacent keys are one record's repeats of one value.  Returns
+    the surviving pairs' fingerprints and records, in that order, and
+    the records of the dropped repeats.
+    """
+    low = fingerprints.min()
+    keys = fingerprints
+    keys -= low
+    keys <<= record_bits
+    keys |= np.repeat(np.arange(raw_lengths.size, dtype=np.uint64), raw_lengths)
+    keys.sort()
+    record_mask = np.uint64((1 << record_bits) - 1)
+    repeats = ~_run_starts(keys)
+    dropped = keys[repeats] & record_mask
+    if dropped.size:
+        keys = keys[~repeats]
+    values = keys >> record_bits
+    values += low
+    keys &= record_mask
+    return values, keys, dropped
+
+
+def _groups_by_argsort(
+    fingerprints: np.ndarray, raw_lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_groups_by_packed_sort` for fingerprints too wide to pack.
+
+    A stable argsort of the fingerprint column orders the occurrences
+    by (fingerprint, record), because record ids are non-decreasing in
+    flat order; the record column is carried along by one gather.
+    """
+    order = stable_argsort(fingerprints)
+    sorted_fingerprints = fingerprints[order]
+    sorted_records = np.repeat(
+        np.arange(raw_lengths.size, dtype=np.uint64), raw_lengths
+    )[order]
+    keep = _run_starts(sorted_fingerprints) | _run_starts(sorted_records)
+    return sorted_fingerprints[keep], sorted_records[keep], sorted_records[~keep]
 
 
 def _flatten_integer(
     flat_values: np.ndarray, raw_lengths: np.ndarray, num_records: int
 ) -> FlatRecords:
-    """The integer fast path: two packed-key sorts, no Python ``set``.
+    """The integer fast path: packed-key sorts, no Python ``set``.
 
     Integer elements fingerprint as their two's-complement uint64 bit
     pattern — exactly element_fingerprint's ``& MAX_UINT64`` — and the
     universe is ordered in that domain (signed order would disagree for
     negative values).
 
-    1. A stable argsort of the raw fingerprint column
-       (:func:`~repro.core.sorting.stable_argsort`) orders occurrences by
-       (fingerprint, record), because record ids are non-decreasing in
-       flat order.  Segment boundaries on the fingerprint delimit the
-       unique universe (ascending, with ``bincount`` frequencies);
-       boundaries on either key delimit the per-record distinct
-       survivors.
+    1. Order the occurrences by (fingerprint, record) and drop each
+       record's repeats.  When the fingerprints' span plus the record
+       bits fit 64 bits, one in-place ``np.sort`` of packed keys does it
+       (:func:`_groups_by_packed_sort`); otherwise — mixed signs, or
+       values at or above 2^63 next to small ones — a stable argsort
+       does (:func:`_groups_by_argsort`).  The input decides.  Value-run
+       boundaries delimit the unique universe (ascending) and its
+       containing-record counts, and a record's size is its raw length
+       minus its dropped repeats.
     2. Each survivor is a distinct (record, unique rank) pair.  Sorting
        the pairs packed into one uint64 lays them out in CSR order, each
        record's elements by ascending fingerprint, and the low bits are
-       the ``inverse`` column.  The fingerprints are a gather from the
-       universe, and the elements are their casts back to the column's
-       dtype (the uint64 cast is injective on one integer dtype).
+       the ``inverse`` column.
 
     Bitwise identical universe, counts and inverse to the ``np.unique``
     pipeline.
     """
     if not raw_lengths.all():
         raise ConfigurationError("records must be non-empty sets of elements")
-    record_of = np.repeat(np.arange(num_records, dtype=np.int64), raw_lengths)
-    flat_fingerprints = flat_values.astype(np.uint64)
-    order = stable_argsort(flat_fingerprints)
-    sorted_records = record_of[order]
-    sorted_fingerprints = flat_fingerprints[order]
-    new_value = np.empty(sorted_fingerprints.size, dtype=bool)
-    new_value[0] = True
-    new_value[1:] = sorted_fingerprints[1:] != sorted_fingerprints[:-1]
-    keep = np.empty(sorted_fingerprints.size, dtype=bool)
-    keep[0] = True
-    keep[1:] = new_value[1:] | (sorted_records[1:] != sorted_records[:-1])
-    unique = sorted_fingerprints[new_value]
-    kept_records = sorted_records[keep]
-    group_of = np.cumsum(new_value[keep], dtype=np.int64) - 1
-    counts = np.bincount(group_of)
+    fingerprints = flat_values.astype(np.uint64)
+    record_bits = (num_records - 1).bit_length()
+    span = int(fingerprints.max() - fingerprints.min())
+    if span.bit_length() + record_bits <= 64:
+        values, records, repeats = _groups_by_packed_sort(
+            fingerprints, raw_lengths, record_bits
+        )
+    else:
+        values, records, repeats = _groups_by_argsort(fingerprints, raw_lengths)
+    new_value = _run_starts(values)
+    starts = np.flatnonzero(new_value)
+    unique = values[starts]
     rank_bits = (unique.size - 1).bit_length()
-    if (num_records - 1).bit_length() + rank_bits > 64:
+    if record_bits + rank_bits > 64:
         raise ConfigurationError(
             "too many records and distinct elements to pack into 64-bit keys"
         )
-    csr_keys = kept_records.view(np.uint64) << rank_bits
-    csr_keys |= group_of.view(np.uint64)
+    # The fingerprint column is spent; its buffer takes the unique ranks.
+    ranks = np.cumsum(new_value, dtype=np.int64, out=values.view(np.int64))
+    ranks -= 1
+    csr_keys = records
+    csr_keys <<= rank_bits
+    csr_keys |= ranks.view(np.uint64)
     csr_keys.sort()
     csr_keys &= np.uint64((1 << rank_bits) - 1)
-    inverse = csr_keys.view(np.int64)
-    sizes = np.bincount(kept_records, minlength=num_records)
-    offsets = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
-    )
-    fingerprints = unique[inverse]
+    sizes = raw_lengths - np.bincount(repeats.view(np.int64), minlength=num_records)
     return FlatRecords(
-        offsets=offsets,
-        elements=fingerprints.astype(flat_values.dtype),
-        fingerprints=fingerprints,
+        offsets=np.concatenate(
+            [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
+        ),
         unique_fingerprints=unique,
-        first_occurrence=_first_occurrences(inverse, unique.size),
-        inverse=inverse,
-        counts=counts,
+        inverse=csr_keys.view(np.int64),
+        counts=np.diff(starts, append=new_value.size),
+        element_dtype=flat_values.dtype,
     )
 
 
@@ -316,14 +393,14 @@ def flatten_records(
 
     Per-record deduplication uses Python ``set`` semantics (the same
     dedup the per-record path applies).  Integer datasets take a
-    dtype-aware fast path: the raw occurrences become one flat array, a
-    stable argsort of its fingerprints produces the per-record dedup
-    *and* the unique universe, and a packed-key sort restores CSR order
-    (:func:`_flatten_integer`) — no Python ``set`` per record and no
-    second sort inside ``np.unique``.  Every other element
-    type keeps the per-record loop plus ``np.unique``; both paths
-    produce the same distinct-element multiset and the same universe, so
-    downstream sketches are identical.
+    dtype-aware fast path: the raw occurrences become one flat array,
+    one sort of packed (fingerprint, record) keys produces the
+    per-record dedup *and* the unique universe, and a second packed-key
+    sort restores CSR order (:func:`_flatten_integer`) — no Python
+    ``set`` per record and no second sort inside ``np.unique``.  Every
+    other element type keeps the per-record loop plus ``np.unique``;
+    both paths produce the same distinct-element multiset and the same
+    universe, so downstream sketches are identical.
 
     ``profile`` records the pass as one ``"flatten"`` stage.
 
@@ -353,31 +430,27 @@ def flatten_records(
                 )
             sizes[position] = len(distinct)
             flat.extend(distinct)
-        offsets = np.concatenate(
-            [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
-        )
-        fingerprints = fingerprint_many(flat)
         unique, inverse, counts = np.unique(
-            fingerprints, return_inverse=True, return_counts=True
+            fingerprint_many(flat), return_inverse=True, return_counts=True
         )
-        inverse = np.ascontiguousarray(inverse, dtype=np.int64)
         result = FlatRecords(
-            offsets=offsets,
-            elements=flat,
-            fingerprints=fingerprints,
+            offsets=np.concatenate(
+                [np.zeros(1, dtype=np.int64), np.cumsum(sizes, dtype=np.int64)]
+            ),
             unique_fingerprints=unique,
-            first_occurrence=_first_occurrences(inverse, unique.size),
-            inverse=inverse,
+            inverse=np.ascontiguousarray(inverse, dtype=np.int64),
             counts=counts.astype(np.int64, copy=False),
+            element_list=flat,
         )
     if profile is not None:
         profile.record(
             "flatten",
             time.perf_counter() - start,
             rows=num_records,
-            nbytes=result.fingerprints.nbytes
+            nbytes=result.offsets.nbytes
             + result.inverse.nbytes
-            + result.unique_fingerprints.nbytes,
+            + result.unique_fingerprints.nbytes
+            + result.counts.nbytes,
         )
     return result
 
@@ -387,9 +460,9 @@ def slice_flat_records(flat: FlatRecords, positions: np.ndarray) -> FlatRecords:
 
     ``positions`` selects records of ``flat`` (in the order given); the
     result is a :class:`FlatRecords` over exactly those records whose
-    per-occurrence columns (``elements``, ``fingerprints``, ``inverse``)
-    are CSR gathers of the parent's — no re-hashing, no second frequency
-    pass.  The unique-universe columns are **shared with the parent**:
+    ``inverse`` column (and, on the generic path, element list) is a CSR
+    gather of the parent's — no re-hashing, no second frequency pass.
+    The unique-universe columns are **shared with the parent**:
     ``unique_fingerprints`` / ``counts`` stay the *global* universe and
     ``inverse`` keeps indexing it, which is precisely what the
     pinned-parameter sketch kernels (:func:`bulk_sketch`,
@@ -397,10 +470,9 @@ def slice_flat_records(flat: FlatRecords, positions: np.ndarray) -> FlatRecords:
     consume — a sharded build hashes the universe once and every shard
     gathers from it.
 
-    Because the universe is the parent's, ``first_occurrence`` also
-    still indexes the *parent's* flat column: do not call
-    :meth:`FlatRecords.representatives` or :func:`select_vocabulary` on
-    a slice — parameters are planned on the full dataset before slicing.
+    Because ``counts`` are the parent's, do not call
+    :func:`select_vocabulary` on a slice — parameters are planned on the
+    full dataset before slicing.
     """
     positions = np.ascontiguousarray(positions, dtype=np.int64)
     lengths = flat.record_sizes[positions]
@@ -411,18 +483,11 @@ def slice_flat_records(flat: FlatRecords, positions: np.ndarray) -> FlatRecords:
     gather = np.arange(int(offsets[-1]), dtype=np.int64) + np.repeat(
         starts - offsets[:-1], lengths
     )
-    if isinstance(flat.elements, np.ndarray):
-        elements = flat.elements[gather]
-    else:
-        elements = [flat.elements[index] for index in gather.tolist()]
-    return FlatRecords(
-        offsets=offsets,
-        elements=elements,
-        fingerprints=flat.fingerprints[gather],
-        unique_fingerprints=flat.unique_fingerprints,
-        first_occurrence=flat.first_occurrence,
-        inverse=flat.inverse[gather],
-        counts=flat.counts,
+    element_list = flat.element_list
+    if element_list is not None:
+        element_list = [element_list[index] for index in gather.tolist()]
+    return replace(
+        flat, offsets=offsets, inverse=flat.inverse[gather], element_list=element_list
     )
 
 
@@ -437,7 +502,8 @@ def select_vocabulary(
     the handful of elements that can place, and the actual ranking (and
     its ``(-count, repr)`` tie-break) is delegated to
     ``from_frequencies`` over that subset, so the two build paths share
-    one selection authority.
+    one selection authority.  Only those candidates get a representative
+    element (:meth:`FlatRecords.representatives`).
 
     ``profile`` records the pass as one ``"vocabulary"`` stage.
     """
@@ -454,12 +520,9 @@ def select_vocabulary(
             qualifying = np.nonzero(counts >= cutoff)[0]
         else:
             qualifying = np.arange(num_unique)
-        frequencies = {
-            flat.element_at(int(flat.first_occurrence[position])): int(
-                counts[position]
-            )
-            for position in qualifying.tolist()
-        }
+        frequencies = dict(
+            zip(flat.representatives(qualifying), counts[qualifying].tolist())
+        )
         vocabulary = FrequentElementVocabulary.from_frequencies(frequencies, size)
     if profile is not None:
         profile.record(
@@ -566,9 +629,7 @@ def pack_signatures_bulk(
     bits = np.uint64(1) << (bit_positions % BITS_PER_WORD).astype(np.uint64)
     order = stable_argsort(word_keys)
     word_keys = word_keys[order]
-    starts = np.concatenate(
-        [np.zeros(1, dtype=np.int64), np.nonzero(word_keys[1:] != word_keys[:-1])[0] + 1]
-    )
+    starts = np.flatnonzero(_run_starts(word_keys))
     signatures.reshape(-1)[word_keys[starts]] = np.bitwise_or.reduceat(
         bits[order], starts
     )
@@ -592,14 +653,9 @@ def _sorted_distinct_per_record(
     order = stable_lexsort((values, records))
     records = records[order]
     values = values[order]
-    if values.size:
-        first_of_group = np.empty(values.size, dtype=bool)
-        first_of_group[0] = True
-        first_of_group[1:] = (records[1:] != records[:-1]) | (
-            values[1:] != values[:-1]
-        )
-        records = records[first_of_group]
-        values = values[first_of_group]
+    first_of_group = _run_starts(records) | _run_starts(values)
+    records = records[first_of_group]
+    values = values[first_of_group]
     lengths = np.bincount(records, minlength=num_records)
     offsets = np.concatenate(
         [np.zeros(1, dtype=np.int64), np.cumsum(lengths, dtype=np.int64)]
@@ -618,12 +674,17 @@ def bulk_sketch(
 ) -> BulkSketches:
     """Sketch a flattened dataset under pinned parameters, all at once.
 
-    One membership lookup splits every occurrence into buffer vs
-    residual, every *unique* fingerprint is hashed exactly once (the
-    per-record path re-hashes each occurrence), and the per-record
-    sorted-distinct-kept selection is a single (record, value) sort of
-    the kept occurrences with a segment-boundary dedup — the result is bitwise
-    identical to running ``_sketch_parts`` record by record.
+    Every *distinct* value is decided once — buffer member, residual
+    kept under ``threshold``, or residual dropped — with one membership
+    lookup and one hash per unique fingerprint (the per-record path
+    re-hashes each occurrence), and the decisions reach the occurrences
+    through ``inverse``.  Only the buffer and kept occurrences, a small
+    share of the dataset, are gathered; a ``searchsorted`` on the CSR
+    offsets finds their records.  Residual sizes are record sizes minus
+    buffer counts, and the per-record sorted-distinct-kept selection is
+    one (record, value) sort of the kept occurrences with a
+    segment-boundary dedup — the result is bitwise identical to running
+    ``_sketch_parts`` record by record.
 
     ``unique_hashes`` lets a caller that already hashed
     ``flat.unique_fingerprints`` (the build path hashes the residual
@@ -633,36 +694,37 @@ def bulk_sketch(
     """
     start = time.perf_counter()
     num_records = flat.num_records
-    record_of = np.repeat(
-        np.arange(num_records, dtype=np.int64), flat.record_sizes
-    )
-    in_vocab = lookup.member_mask(flat.fingerprints)
+    record_sizes = flat.record_sizes
+    if unique_hashes is None:
+        unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
+    in_vocab = lookup.member_mask(flat.unique_fingerprints)
+    kept = ~in_vocab
+    kept &= unique_hashes <= threshold
 
+    buffer_at = np.flatnonzero(in_vocab[flat.inverse])
+    buffer_records = np.searchsorted(flat.offsets, buffer_at, side="right") - 1
     signatures = pack_signatures_bulk(
-        record_of[in_vocab],
-        lookup.positions_of(flat.fingerprints[in_vocab]),
+        buffer_records,
+        lookup.positions_of(flat.unique_fingerprints[flat.inverse[buffer_at]]),
         num_records,
         num_words,
     )
+    residual_record_sizes = record_sizes - np.bincount(
+        buffer_records, minlength=num_records
+    )
 
-    residual_mask = ~in_vocab
-    residual_records = record_of[residual_mask]
-    residual_record_sizes = np.bincount(residual_records, minlength=num_records)
-
-    # Hash each unique fingerprint once; occurrences gather by inverse.
-    if unique_hashes is None:
-        unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
-    occurrence_hashes = unique_hashes[flat.inverse[residual_mask]]
-    kept = occurrence_hashes <= threshold
+    kept_at = np.flatnonzero(kept[flat.inverse])
     kept_values, _value_lengths, value_offsets = _sorted_distinct_per_record(
-        residual_records[kept], occurrence_hashes[kept], num_records
+        np.searchsorted(flat.offsets, kept_at, side="right") - 1,
+        unique_hashes[flat.inverse[kept_at]],
+        num_records,
     )
     sketches = BulkSketches(
         values=kept_values,
         value_offsets=value_offsets,
         signatures=signatures,
-        residual_record_sizes=residual_record_sizes.astype(np.int64, copy=False),
-        record_sizes=flat.record_sizes.astype(np.int64, copy=False),
+        residual_record_sizes=residual_record_sizes,
+        record_sizes=record_sizes,
     )
     if profile is not None:
         profile.record(

@@ -544,8 +544,8 @@ class SketchStoreIndex(SimilarityIndex):
         :attr:`_INGEST_HINTS` planned over the dataset ``flat`` was
         flattened from.  ``flat`` may be a
         :func:`~repro.core.bulk.slice_flat_records` view of that dataset
-        (only its per-occurrence columns and its ``inverse`` into the
-        shared universe are read), which is how the sharded planner
+        (only its offsets and its ``inverse`` into the shared universe
+        are read), which is how the sharded planner
         sketches every shard without hashing anything twice.
         """
         index, hints = cls._pinned(plan)
@@ -884,7 +884,7 @@ class SketchStoreIndex(SimilarityIndex):
                 "the payload is truncated or from an unsupported layout"
             ) from error
         if store.signature_bits != index._store.signature_bits:
-            raise ConfigurationError(
+            raise SnapshotFormatError(
                 "snapshot signature width does not match its buffer size"
             )
         index._store = store

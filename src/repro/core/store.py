@@ -642,8 +642,22 @@ class ColumnarSketchStore:
         arrays: Mapping[str, np.ndarray],
         compact_ratio: float = DEFAULT_COMPACT_RATIO,
     ) -> "ColumnarSketchStore":
-        """Rebuild a store from :meth:`state_arrays` output."""
+        """Rebuild a store from :meth:`state_arrays` output.
+
+        Raises
+        ------
+        SnapshotFormatError
+            If the snapshot version is not this build's, or the columns
+            do not fit together (see :func:`_state_problem`).
+        KeyError
+            If a column is missing.
+        """
         meta = np.asarray(arrays["store_meta"], dtype=np.int64)
+        if meta.shape != (3,) or meta[1] < 0 or meta[2] < 0:
+            raise SnapshotFormatError(
+                f"corrupt store snapshot: store_meta {meta.tolist()} is not "
+                "[version, signature bits >= 0, next id >= 0]"
+            )
         version, signature_bits, next_id = (int(x) for x in meta)
         if version != SNAPSHOT_VERSION:
             raise SnapshotFormatError(
@@ -651,17 +665,26 @@ class ColumnarSketchStore:
                 f"(this build reads version {SNAPSHOT_VERSION})"
             )
         store = cls(signature_bits=signature_bits, compact_ratio=compact_ratio)
-        store._values = np.asarray(arrays["values"], dtype=np.float64)
-        store._offsets = np.asarray(arrays["offsets"], dtype=np.int64)
-        num_rows = int(np.asarray(arrays["record_sizes"]).size)
-        signatures = np.asarray(arrays["signatures"], dtype=np.uint64)
-        store._signatures = signatures.reshape(num_rows, store._num_words)
-        store._record_sizes = np.asarray(arrays["record_sizes"], dtype=np.int64)
-        store._residual_record_sizes = np.asarray(
-            arrays["residual_record_sizes"], dtype=np.int64
-        )
-        store._row_ids = np.asarray(arrays["row_ids"], dtype=np.int64)
-        store._tombstones = np.asarray(arrays["tombstones"], dtype=bool)
+        columns = {}
+        for name, dtype in _STATE_DTYPES.items():
+            column = np.asarray(arrays[name])
+            if not np.can_cast(column.dtype, dtype, casting="same_kind"):
+                raise SnapshotFormatError(
+                    f"corrupt store snapshot: {name} holds {column.dtype} values, "
+                    f"expected {np.dtype(dtype)}"
+                )
+            columns[name] = column.astype(dtype, copy=False)
+        problem = _state_problem(columns, store._num_words, next_id)
+        if problem is not None:
+            raise SnapshotFormatError(f"corrupt store snapshot: {problem}")
+        num_rows = columns["record_sizes"].size
+        store._values = columns["values"]
+        store._offsets = columns["offsets"]
+        store._signatures = columns["signatures"].reshape(num_rows, store._num_words)
+        store._record_sizes = columns["record_sizes"]
+        store._residual_record_sizes = columns["residual_record_sizes"]
+        store._row_ids = columns["row_ids"]
+        store._tombstones = columns["tombstones"]
         store._next_id = next_id
         store._num_dead = int(store._tombstones.sum())
         if store._num_dead:
@@ -671,6 +694,10 @@ class ColumnarSketchStore:
         store._id_rows = np.full(max(next_id, 16), -1, dtype=np.int64)
         live = ~store._tombstones
         store._id_rows[store._row_ids[live]] = np.nonzero(live)[0]
+        if np.count_nonzero(store._id_rows >= 0) != num_rows - store._num_dead:
+            raise SnapshotFormatError(
+                "corrupt store snapshot: two live rows share a record id"
+            )
         store._ids_identity = bool(
             np.array_equal(
                 store._row_ids, np.arange(store._row_ids.size, dtype=np.int64)
@@ -961,6 +988,60 @@ class ColumnarSketchStore:
         for word in range(1, self._num_words):
             overlap += word_overlap(word)
         return overlap
+
+
+#: The restored dtype of each column :meth:`ColumnarSketchStore.state_arrays` writes.
+_STATE_DTYPES = {
+    "values": np.float64,
+    "offsets": np.int64,
+    "signatures": np.uint64,
+    "record_sizes": np.int64,
+    "residual_record_sizes": np.int64,
+    "row_ids": np.int64,
+    "tombstones": bool,
+}
+
+
+def _state_problem(
+    columns: Mapping[str, np.ndarray], num_words: int, next_id: int
+) -> str | None:
+    """What, if anything, keeps snapshot columns from forming a store.
+
+    Vectorised ``O(rows)`` checks of the invariants every reader of the
+    columns relies on: one entry per row in each per-row column, CSR
+    ``offsets`` that start at 0, never decrease and end at
+    ``len(values)``, ``rows × num_words`` signature words, and record
+    ids in ``[0, next_id)``.  (That no two live rows share an id is
+    checked on the id map :meth:`ColumnarSketchStore.from_state` builds.)
+    Row order says nothing about ids: ``replace`` moves a record's id to
+    a new last row, so any permutation of the ids is a reachable state.
+    ``None`` when the invariants hold.
+    """
+    num_rows = columns["record_sizes"].size
+    for name in ("record_sizes", "residual_record_sizes", "row_ids", "tombstones"):
+        if columns[name].shape != (num_rows,):
+            return f"{name} has shape {columns[name].shape}, expected ({num_rows},)"
+    values, offsets = columns["values"], columns["offsets"]
+    if values.ndim != 1:
+        return f"values has shape {values.shape}, expected one dimension"
+    if offsets.shape != (num_rows + 1,):
+        return f"offsets has shape {offsets.shape}, expected ({num_rows + 1},)"
+    if offsets[0] != 0 or offsets[-1] != values.size:
+        return (
+            f"offsets run from {offsets[0]} to {offsets[-1]}, "
+            f"expected 0 to {values.size}"
+        )
+    if np.any(offsets[1:] < offsets[:-1]):
+        return "offsets decrease"
+    if columns["signatures"].size != num_rows * num_words:
+        return (
+            f"signatures hold {columns['signatures'].size} words, expected "
+            f"{num_rows} rows of {num_words}"
+        )
+    row_ids = columns["row_ids"]
+    if num_rows and (row_ids.min() < 0 or row_ids.max() >= next_id):
+        return f"row_ids fall outside [0, {next_id})"
+    return None
 
 
 def _merge_sorted_runs(

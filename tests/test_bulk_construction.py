@@ -31,6 +31,8 @@ from repro.core import (
     slice_flat_records,
     vocabulary_lookup,
 )
+from repro.core import bulk
+from repro.core.sorting import stable_argsort
 from repro.datasets import generate_zipf_dataset, sample_queries
 from repro.hashing import UnitHash, fingerprint_many
 
@@ -448,11 +450,12 @@ def unique_pipeline(records: list[np.ndarray]) -> dict[str, np.ndarray]:
 
 
 class TestFlattenSortOnce:
-    """The integer fast path — a stable argsort of the fingerprints plus
-    one packed (record, unique rank) sort — must reproduce the
-    ``np.unique`` pipeline bit for bit, including for negative elements,
-    whose uint64 fingerprints sort differently from their signed values,
-    and for values at or above 2**63."""
+    """The integer fast path — a sort of packed (fingerprint, record)
+    keys, or a stable argsort of the fingerprints when those keys do not
+    fit 64 bits, plus one packed (record, unique rank) sort — must
+    reproduce the ``np.unique`` pipeline bit for bit, including for
+    negative elements, whose uint64 fingerprints sort differently from
+    their signed values, and for values at or above 2**63."""
 
     @given(integer_ndarray_datasets())
     def test_fast_path_matches_unique_pipeline_column_for_column(self, records):
@@ -514,6 +517,67 @@ class TestFlattenSortOnce:
     def test_fast_path_rejects_empty_record(self):
         with pytest.raises(ConfigurationError, match="non-empty"):
             flatten_records([np.array([1, 2]), np.array([], dtype=np.int64)])
+
+    @pytest.mark.parametrize(
+        "records, packed",
+        [
+            pytest.param(
+                [np.array([0], dtype=np.uint64), np.array([2**63 - 1], dtype=np.uint64)],
+                True,
+                id="63-bit-span-plus-1-record-bit",
+            ),
+            pytest.param(
+                [np.array([0], dtype=np.uint64), np.array([2**63], dtype=np.uint64)],
+                False,
+                id="64-bit-span-plus-1-record-bit",
+            ),
+            pytest.param(
+                [np.array([-5, -1, -3, -1]), np.array([-2, -7]), np.array([-1])],
+                True,
+                id="all-negative",
+            ),
+            pytest.param(
+                [np.array([-1, 0, 1, 0]), np.array([5, -5]), np.array([-1])],
+                False,
+                id="mixed-sign",
+            ),
+        ],
+    )
+    def test_packed_sort_boundary(self, monkeypatch, records, packed):
+        # The packed (value, record) sort runs exactly when the uint64
+        # span of the values plus the record bits fits 64 bits; the
+        # argsort fallback covers the rest.  Both match np.unique.
+        argsorts = []
+
+        def counting_argsort(keys):
+            argsorts.append(keys.size)
+            return stable_argsort(keys)
+
+        monkeypatch.setattr(bulk, "stable_argsort", counting_argsort)
+        flat = flatten_records(records)
+        assert not argsorts if packed else argsorts
+        expected = unique_pipeline(records)
+        for name in FLAT_COLUMNS:
+            column = getattr(flat, name)
+            assert column.dtype == expected[name].dtype, name
+            assert np.array_equal(column, expected[name]), name
+
+    def test_sparse_corpus_flattens_without_argsort(self, monkeypatch):
+        # The bench build corpus's shape at a 20th of its size: a 21-bit
+        # value span and 16 record bits must take the packed sort.
+        def no_argsort(keys):
+            raise AssertionError("the sparse corpus fell back to stable_argsort")
+
+        rng = np.random.default_rng(5)
+        sizes = np.minimum(rng.zipf(2.2, size=50_000) + 4, 64)
+        values = np.floor(2_000_000 * rng.random(int(sizes.sum())) ** 2.5)
+        records = np.split(values.astype(np.int64), np.cumsum(sizes)[:-1])
+        monkeypatch.setattr(bulk, "stable_argsort", no_argsort)
+        flat = flatten_records(records)
+        assert flat.num_records == len(records)
+        assert np.array_equal(
+            flat.record_sizes, [np.unique(record).size for record in records]
+        )
 
 
 class TestSliceFlatRecords:

@@ -230,6 +230,113 @@ class TestSnapshotFormat:
             GBKMVIndex.load(truncated)
 
 
+def _with(column: np.ndarray, position: int, value) -> np.ndarray:
+    changed = column.copy()
+    changed[position] = value
+    return changed
+
+
+def _decreasing(offsets: np.ndarray) -> np.ndarray:
+    middle = offsets.size // 2
+    return _with(offsets, middle, offsets[middle + 1] + 1)
+
+
+#: One broken structural invariant of a store's columns per case: the
+#: columns each case replaces, given the intact columns and ``next_id``.
+_CORRUPT_COLUMNS = {
+    "offsets-truncated": lambda a, next_id: {"offsets": a["offsets"][:-1]},
+    "offsets-short-of-values": lambda a, next_id: {"values": np.append(a["values"], 0.5)},
+    "offsets-decreasing": lambda a, next_id: {"offsets": _decreasing(a["offsets"])},
+    "record-sizes-short": lambda a, next_id: {"record_sizes": a["record_sizes"][:-1]},
+    "residual-sizes-short": lambda a, next_id: {
+        "residual_record_sizes": a["residual_record_sizes"][:-1]
+    },
+    "signatures-short": lambda a, next_id: {"signatures": a["signatures"][:-1]},
+    "tombstones-truncated": lambda a, next_id: {"tombstones": a["tombstones"][:-1]},
+    "row-id-at-next-id": lambda a, next_id: {"row_ids": _with(a["row_ids"], -1, next_id)},
+    "negative-row-id": lambda a, next_id: {"row_ids": _with(a["row_ids"], 0, -1)},
+    "shared-live-row-id": lambda a, next_id: {
+        "row_ids": _with(a["row_ids"], 1, a["row_ids"][0])
+    },
+    "store-meta-truncated": lambda a, next_id: {"store_meta": a["store_meta"][:-1]},
+    "negative-signature-bits": lambda a, next_id: {"store_meta": _with(a["store_meta"], 1, -1)},
+    "values-as-strings": lambda a, next_id: {"values": a["values"].astype(str)},
+    "offsets-as-floats": lambda a, next_id: {"offsets": a["offsets"] + 0.5},
+}
+
+
+class TestCorruptStoreColumns:
+    """Structurally broken store columns raise ``SnapshotFormatError``,
+    through ``from_state`` and through every snapshot layout."""
+
+    @pytest.fixture(scope="class")
+    def index(self, zipf_records):
+        index = GBKMVIndex.build(zipf_records[:300], space_fraction=0.2, buffer_size=8)
+        index.delete(5)
+        return index
+
+    @pytest.mark.parametrize("loader", ["from_state", "npz", "dir", "dir-mmap"])
+    @pytest.mark.parametrize("case", sorted(_CORRUPT_COLUMNS))
+    def test_broken_columns_raise_snapshot_format_error(
+        self, index, tmp_path, case, loader
+    ):
+        from repro._errors import SnapshotFormatError
+        from repro.api import open_index
+        from repro.core.store import ColumnarSketchStore
+
+        arrays = {name: array.copy() for name, array in index.store.state_arrays().items()}
+        broken = _CORRUPT_COLUMNS[case](arrays, int(arrays["store_meta"][2]))
+        if loader == "from_state":
+            with pytest.raises(SnapshotFormatError):
+                ColumnarSketchStore.from_state({**arrays, **broken})
+            return
+        if loader == "npz":
+            path = tmp_path / "index.npz"
+            index.save(path)
+            with np.load(path) as data:
+                payload = {name: data[name] for name in data.files}
+            np.savez_compressed(path, **{**payload, **broken})
+        else:
+            path = tmp_path / "index"
+            index.save(path, layout="dir")
+            for name, column in broken.items():
+                np.save(path / f"{name}.npy", column)
+        with pytest.raises(SnapshotFormatError):
+            open_index(path, mmap=loader == "dir-mmap")
+
+    def test_signature_width_mismatch_raises_snapshot_format_error(self, index, tmp_path):
+        # A valid store whose signature width is not the vocabulary's.
+        from repro._errors import SnapshotFormatError
+        from repro.api import open_index
+
+        path = tmp_path / "index.npz"
+        index.save(path)
+        with np.load(path) as data:
+            payload = {name: data[name] for name in data.files}
+        payload["store_meta"] = _with(payload["store_meta"], 1, 16)
+        np.savez_compressed(path, **payload)
+        with pytest.raises(SnapshotFormatError):
+            open_index(path)
+
+    def test_row_order_is_not_an_id_invariant(self, zipf_records, tmp_path):
+        # update() gives a record's id a new last row, so updating every
+        # record in reverse and compacting reverses row_ids: a reachable
+        # state, which must load and answer as saved.
+        from repro.api import open_index
+
+        records = zipf_records[:40]
+        index = GBKMVIndex.build(records, space_fraction=0.2, buffer_size=8)
+        for record_id in reversed(range(len(records))):
+            index.update(record_id, records[record_id])
+        index.store.compact_tombstones()
+        assert index.store.row_ids.tolist() == list(reversed(range(len(records))))
+        path = tmp_path / "index.npz"
+        index.save(path)
+        assert _flatten(open_index(path).search_many(records[:10], 0.5)) == _flatten(
+            index.search_many(records[:10], 0.5)
+        )
+
+
 class TestOpenIndex:
     """`repro.api.open_index` dispatches on the embedded backend id."""
 
