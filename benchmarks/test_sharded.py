@@ -20,9 +20,9 @@ shard count.  Asserted invariants:
 * every shard count returns **bitwise-identical** hits/scores/ordering
   to the unsharded baseline — sharding is a layout change, not an
   approximation;
-* a **parallel-built** index (``build_workers=4`` through the shard
+* a **parallel-built** index (``max_workers=4`` through the shard
   executor) is bitwise-identical to a serially built one
-  (``build_workers=1``) — parallel construction is a scheduling change,
+  (``max_workers=1``) — parallel construction is a scheduling change,
   not an approximation;
 * on a machine with >= 4 cores at the full 1M-record scale, the best
   multi-shard ``search_many`` wall-clock beats the single-shard
@@ -185,7 +185,7 @@ def _run() -> dict[str, object]:
         num_shards=4,
         inner_backend="gbkmv",
         inner_config=GBKMVConfig(space_fraction=SPACE_FRACTION),
-        build_workers=1,
+        max_workers=1,
     )
     start = time.perf_counter()
     serial_index = create_index("sharded", records, serial_config)
@@ -194,7 +194,7 @@ def _run() -> dict[str, object]:
         num_shards=4,
         inner_backend="gbkmv",
         inner_config=GBKMVConfig(space_fraction=SPACE_FRACTION),
-        build_workers=4,
+        max_workers=4,
     )
     start = time.perf_counter()
     parallel_index = create_index("sharded", records, parallel_config)
@@ -270,7 +270,7 @@ def _run() -> dict[str, object]:
             "num_shards": 4,
             "serial_build_seconds": round(serial_build_seconds, 4),
             "parallel_build_seconds": round(parallel_build_seconds, 4),
-            "build_workers": 4,
+            "max_workers": 4,
             "identical_to_serial": bool(parallel_identical),
         },
         "best_multi_shard": {

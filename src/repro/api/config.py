@@ -186,19 +186,16 @@ class ShardedConfig(IndexConfig):
         Build configuration for the inner backend (its ``config_type``),
         or ``None`` for that backend's defaults.
     max_workers:
-        Thread-pool width for fan-out operations; ``None`` sizes the
-        pool to ``min(os.cpu_count(), num_shards)``.
-    build_workers:
-        Thread-pool width for the *construction* fan-out (per-shard bulk
-        sketching); ``None`` sizes it like ``max_workers``.  An explicit
-        value below ``num_shards`` acts as an oversubscription guard.
-        Only the native sketch backends (gbkmv/gkmv/kmv) build in
-        parallel: they plan once over the whole dataset and sketch each
-        shard's slice on a thread (the sketch kernels release the GIL).
+        Thread-pool width of every fan-out: queries, inserts and the
+        build; ``None`` sizes the pool to ``min(os.cpu_count(),
+        num_shards)``.  An explicit value below ``num_shards`` acts as
+        an oversubscription guard.  Only the native sketch backends
+        (gbkmv/gkmv/kmv) build in parallel: they plan once over the
+        whole dataset and sketch each shard's slice on a thread (the
+        sketch kernels release the GIL).
     """
 
     num_shards: int = 4
     inner_backend: str = "gbkmv"
     inner_config: IndexConfig | None = None
     max_workers: int | None = None
-    build_workers: int | None = None

@@ -252,8 +252,3 @@ class FrequentElementBuffer:
         """Exact number of frequent elements present in either record."""
         self._check_compatible(other)
         return (self._mask | other._mask).bit_count()
-
-    def difference_count(self, other: "FrequentElementBuffer") -> int:
-        """Exact number of frequent elements in ``self`` but not ``other``."""
-        self._check_compatible(other)
-        return (self._mask & ~other._mask).bit_count()

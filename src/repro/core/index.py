@@ -207,26 +207,20 @@ def _hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchResult]:
     )
 
 
-def sorted_hits(ids: np.ndarray, scores: np.ndarray) -> list[SearchResult]:
-    """One query's hits in the library-wide result order.
-
-    Decreasing score, ties by increasing record id (a lexsort's last key
-    is the primary one).
-    """
-    order = stable_lexsort((ids, -scores))
-    return _hits(ids[order], scores[order])
-
-
 def _assemble_workload_results(
     num_queries: int,
     query_chunks: Sequence[np.ndarray],
     id_chunks: Sequence[np.ndarray],
     score_chunks: Sequence[np.ndarray],
+    limit: int | None = None,
 ) -> list[list[SearchResult]]:
-    """Group hit chunks by query and order each query's hits.
+    """Group hit chunks by query and put each query's hits in result order.
 
+    The library-wide result order — decreasing score, ties by increasing
+    record id — lives here, for the engine and the sharded merge alike.
     Chunks may arrive in any order: the sort below fixes every query's
-    order completely.
+    order completely.  ``limit`` keeps each query's first ``limit`` hits
+    (the top-k cut).
     """
     if not any(chunk.size for chunk in query_chunks):  # nothing to sort
         return [[] for _ in range(num_queries)]
@@ -237,8 +231,13 @@ def _assemble_workload_results(
     # increasing id) order at once; record ids are unique per query, so
     # the order is total and identical to a per-query lexsort.
     order = stable_lexsort((hit_ids, -hit_scores, query_ids))
+    query_ids = query_ids[order]
+    if limit is not None:
+        # A hit's rank within its query is its distance from the query's start.
+        keep = np.arange(order.size) - np.searchsorted(query_ids, query_ids) < limit
+        order, query_ids = order[keep], query_ids[keep]
     hits = _hits(hit_ids[order], hit_scores[order])
-    bounds = np.searchsorted(query_ids[order], np.arange(num_queries + 1)).tolist()
+    bounds = np.searchsorted(query_ids, np.arange(num_queries + 1)).tolist()
     return [hits[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 

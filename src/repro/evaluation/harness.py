@@ -221,72 +221,18 @@ def evaluate_dynamic_stream(
     the same coalescing path :class:`repro.serving.SimilarityService`
     serves live traffic through; stream semantics are unchanged, only
     the measured mutation wall-clock drops.  Searchers without
-    ``insert_many`` fall back to the per-operation replay.
+    ``insert_many`` replay per operation: the searcher itself is the
+    writer and the flush a no-op, in the same loop.
     """
+    writer, flush = searcher, lambda: 0
     if coalesce_writes and supports_operation(searcher, "insert_many"):
-        return _evaluate_dynamic_stream_coalesced(method_name, searcher, workload)
-    answers: list[set[int]] = []
-    truths: list[frozenset[int]] = []
-    num_inserts = num_deletes = 0
-    mutation_seconds = query_seconds = 0.0
-    operations = list(workload.operations)
-    position = 0
-    while position < len(operations):
-        operation = operations[position]
-        position += 1
-        if operation.op == "insert":
-            start = time.perf_counter()
-            assigned = searcher.insert(list(operation.record))
-            mutation_seconds += time.perf_counter() - start
-            num_inserts += 1
-            if int(assigned) != operation.record_id:
-                raise ConfigurationError(
-                    f"searcher assigned id {assigned} where the stream expected "
-                    f"{operation.record_id}; build it on the workload's "
-                    "initial_records"
-                )
-        elif operation.op == "delete":
-            start = time.perf_counter()
-            searcher.delete(operation.record_id)
-            mutation_seconds += time.perf_counter() - start
-            num_deletes += 1
-        elif operation.op == "query":
-            start = time.perf_counter()
-            hits = searcher.search(list(operation.query), workload.threshold)
-            query_seconds += time.perf_counter() - start
-            answers.append(_result_ids(hits))
-            truths.append(operation.ground_truth)
-        else:
-            raise ConfigurationError(f"unknown stream operation {operation.op!r}")
-    return _assemble_dynamic_evaluation(
-        method_name,
-        searcher,
-        workload,
-        answers,
-        truths,
-        num_inserts=num_inserts,
-        num_deletes=num_deletes,
-        mutation_seconds=mutation_seconds,
-        query_seconds=query_seconds,
-    )
+        from repro.serving.write_buffer import WriteCoalescer
 
-
-def _evaluate_dynamic_stream_coalesced(
-    method_name: str, searcher: SimilarityIndex, workload
-) -> DynamicEvaluation:
-    """The coalesced replay: the stream through the serving write buffer.
-
-    Writes enqueue (eager id assignment, validated against the stream's
-    precomputed ids); every query flushes first so it sees exactly the
-    stream-instant state the ground truth was computed at.  Flush time
-    is mutation time — it is the deferred cost of the buffered writes.
-    """
-    from repro.serving.write_buffer import WriteCoalescer
-
-    next_id = getattr(searcher, "next_record_id", None)
-    if next_id is None:
-        next_id = len(workload.initial_records)
-    buffer = WriteCoalescer(searcher, next_record_id=next_id)
+        next_id = getattr(searcher, "next_record_id", None)
+        if next_id is None:
+            next_id = len(workload.initial_records)
+        writer = WriteCoalescer(searcher, next_record_id=next_id)
+        flush = writer.flush
     answers: list[set[int]] = []
     truths: list[frozenset[int]] = []
     num_inserts = num_deletes = 0
@@ -294,23 +240,25 @@ def _evaluate_dynamic_stream_coalesced(
     for operation in workload.operations:
         if operation.op == "insert":
             start = time.perf_counter()
-            assigned = buffer.insert(list(operation.record))
+            assigned = writer.insert(list(operation.record))
             mutation_seconds += time.perf_counter() - start
             num_inserts += 1
-            if assigned != operation.record_id:
+            if int(assigned) != operation.record_id:
                 raise ConfigurationError(
-                    f"write buffer assigned id {assigned} where the stream "
-                    f"expected {operation.record_id}; build the searcher on "
-                    "the workload's initial_records"
+                    f"the searcher assigned id {assigned} where the stream "
+                    f"expected {operation.record_id}; build it on the "
+                    "workload's initial_records"
                 )
         elif operation.op == "delete":
             start = time.perf_counter()
-            buffer.delete(operation.record_id)
+            writer.delete(operation.record_id)
             mutation_seconds += time.perf_counter() - start
             num_deletes += 1
         elif operation.op == "query":
+            # Flush time is mutation time: the deferred cost of the
+            # buffered writes, paid before the query sees them.
             start = time.perf_counter()
-            buffer.flush()
+            flush()
             mutation_seconds += time.perf_counter() - start
             start = time.perf_counter()
             hits = searcher.search(list(operation.query), workload.threshold)
@@ -320,7 +268,7 @@ def _evaluate_dynamic_stream_coalesced(
         else:
             raise ConfigurationError(f"unknown stream operation {operation.op!r}")
     start = time.perf_counter()
-    buffer.flush()
+    flush()
     mutation_seconds += time.perf_counter() - start
     return _assemble_dynamic_evaluation(
         method_name,

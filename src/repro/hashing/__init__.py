@@ -26,6 +26,7 @@ from repro.hashing.hash_functions import (
     element_fingerprint,
     fingerprint_many,
     hash_to_unit,
+    materialize_record,
     mix64,
     mix64_many,
 )
@@ -39,6 +40,7 @@ __all__ = [
     "element_fingerprint",
     "fingerprint_many",
     "hash_to_unit",
+    "materialize_record",
     "mix64",
     "mix64_many",
 ]

@@ -120,6 +120,19 @@ def element_fingerprint(element: object) -> int:
     return acc
 
 
+#: Record containers that can be read more than once as they are.
+_REUSABLE_RECORD_TYPES = (list, tuple, set, frozenset, np.ndarray)
+
+
+def materialize_record(record: Iterable[object]) -> Collection[object]:
+    """The record as a re-iterable container (any other iterable becomes a list).
+
+    A record read more than once — checked, then ingested, or fanned out
+    to every shard — must not be a one-shot iterator.
+    """
+    return record if isinstance(record, _REUSABLE_RECORD_TYPES) else list(record)
+
+
 def check_record(
     record: Collection[object], empty_message: str = "cannot insert an empty record"
 ) -> None:

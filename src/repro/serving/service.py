@@ -303,13 +303,6 @@ class SimilarityService:
             )
 
     # -------------------------------------------------------------- lifecycle
-    async def flush_writes(self) -> int:
-        """Flush the write buffer now; returns the operations applied."""
-        self._require_open()
-        if self._writes is None or not self._writes.pending:
-            return 0
-        return await self._in_lane(self._writes.flush)
-
     async def drain(self) -> None:
         """Deliver everything in flight: batches executed, writes flushed.
 

@@ -35,33 +35,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-import numpy as np
-
 from repro._errors import ConfigurationError
 from repro.api.interface import SimilarityIndex
-from repro.hashing import check_record
-
-_REUSABLE_RECORD_TYPES = (list, tuple, set, frozenset, np.ndarray)
+from repro.hashing import check_record, materialize_record
 
 _INSERT = "insert"
 _DELETE = "delete"
 _UPDATE = "update"
-
-
-def _materialize_record(
-    record: Iterable[object], empty_message: str = "cannot insert an empty record"
-):
-    """The record as a re-iterable container, checked as ingest would check it.
-
-    A record the index would reject raises here, to its own caller, before
-    it is given an id: buffered, it would fail its whole flush and leave
-    the promised ids out of step with the index's.
-    """
-    materialized = (
-        record if isinstance(record, _REUSABLE_RECORD_TYPES) else list(record)
-    )
-    check_record(materialized, empty_message)
-    return materialized
 
 
 @dataclass(frozen=True)
@@ -155,7 +135,11 @@ class WriteCoalescer:
         A record the index would reject raises the index's own error
         here and takes no id.
         """
-        materialized = _materialize_record(record)
+        # Checked before it takes an id: buffered, a record the index
+        # rejects would fail its whole flush and leave the promised ids
+        # out of step with the index's.
+        materialized = materialize_record(record)
+        check_record(materialized)
         with self._lock:
             record_id = self._next_id
             self._next_id += 1
@@ -179,7 +163,8 @@ class WriteCoalescer:
 
     def update(self, record_id: int, record: Iterable[object]) -> int:
         """Buffer an in-place replace; returns the (unchanged) record id."""
-        materialized = _materialize_record(record, "cannot update a record to be empty")
+        materialized = materialize_record(record)
+        check_record(materialized, "cannot update a record to be empty")
         record_id = int(record_id)
         with self._lock:
             if record_id < 0 or record_id >= self._next_id:

@@ -5,9 +5,9 @@ The ``"sharded"`` backend partitions a dataset by record-id hash across
 by default) and implements the full
 :class:`~repro.api.interface.SimilarityIndex` protocol on top of them:
 queries fan out to every shard on a thread pool (the numpy kernels
-release the GIL, so shards genuinely overlap on multi-core machines) and
-the per-shard hits are merged back into exactly the result lists the
-unsharded index returns.
+release the GIL, so shards can overlap on a multi-core machine) and the
+per-shard hits are merged back, through the query engine's own global
+sort, into exactly the result lists the unsharded index returns.
 
 Package layout
 --------------
@@ -15,10 +15,8 @@ Package layout
     Deterministic record-id → shard routing (SplitMix64 over the id) and
     the reconstruction of the full routing tables from a record count.
 ``executor``
-    The order-preserving thread-pool fan-out primitive, for both
-    queries and construction.
-``merge``
-    Local-id → global-id remapping and the global result-order merge.
+    The order-preserving thread-pool fan-out primitive, for queries,
+    inserts and construction alike.
 ``planner``
     Builds the per-shard inner indexes under globally pinned parameters,
     which is what makes sharded search results bitwise identical to the
@@ -28,7 +26,10 @@ Package layout
 ``persistence``
     The directory-of-shard-snapshots format behind ``save``/``load``.
 ``backend``
-    :class:`ShardedIndex`, the registered ``SimilarityIndex``.
+    :class:`ShardedIndex`, the registered ``SimilarityIndex``; its
+    search maps each shard's local ids to global ids and merges the hits
+    through :func:`~repro.core.index._assemble_workload_results`, the
+    one home of the result order.
 """
 
 from repro.sharding.backend import ShardedIndex

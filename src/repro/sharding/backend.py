@@ -9,11 +9,17 @@ A thin but complete :class:`~repro.api.interface.SimilarityIndex` over
   ids behind them, and the merge reads each shard's local→global column
   as a prefix view, so neither copies the tables.  Both are
   reconstructable from nothing but ``next_global_id`` at load time.
-- **Search.**  Every query fans out to all shards on a thread pool (the
-  sketch kernels release the GIL) and the per-shard hits merge back into
-  the exact global result order; for the native sketch backends the
-  merged lists are bitwise identical to the unsharded index
-  (see :mod:`repro.sharding.planner`).
+- **Search.**  Every workload fans out to all shards on a thread pool
+  (the sketch kernels release the GIL), each through the shard's public
+  ``search_many`` / ``top_k_many``.  Each shard's hits become (query,
+  global id, score) columns — one gather through the local→global
+  column — and the engine's own assembly sorts them all at once into
+  the result order, decreasing score, ties by increasing global id.
+  Local order is global order within a shard, so a shard's ties already
+  follow global ids, and the global ``k`` best are each among their
+  shard's ``k`` best: cutting the merged lists at ``k`` loses nothing.
+  For the native sketch backends the merged lists are bitwise identical
+  to the unsharded index (see :mod:`repro.sharding.planner`).
 - **Mutation.**  ``insert``/``insert_many`` assign sequential global ids
   and route by id hash (batches are grouped per shard and ingested
   through the inner bulk pipelines, in parallel); ``delete``/``update``
@@ -26,34 +32,32 @@ A thin but complete :class:`~repro.api.interface.SimilarityIndex` over
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.api.config import IndexConfig, ShardedConfig
+from repro.core.index import _assemble_workload_results
 from repro.core.profiling import BuildProfile
 from repro.core.store import append_rows
-from repro.hashing import check_record
+from repro.hashing import check_record, materialize_record
 from repro.api.interface import Capabilities, SimilarityIndex, positive_k
 from repro.api.registry import get_backend
 from repro.api.results import SearchResult
 from repro.sharding.executor import ShardExecutor
-from repro.sharding.merge import merge_workload_hits
 from repro.sharding.partitioner import routing_tables, shard_of, shards_of
 from repro.sharding.persistence import load_sharded, save_sharded
 from repro.sharding.planner import build_shards
 
-_REUSABLE_RECORD_TYPES = (list, tuple, set, frozenset, np.ndarray)
-
-
-def _materialize_record(record: Iterable[object]):
-    """A record as a re-iterable container (fan-out reads it S times)."""
-    return record if isinstance(record, _REUSABLE_RECORD_TYPES) else list(record)
+#: One shard hit, ``(local record id, score)``, as the merge reads it.
+_HIT = np.dtype([("id", np.int64), ("score", np.float64)])
 
 
 def _materialize_records(records: Sequence[Iterable[object]]) -> list:
-    return [_materialize_record(record) for record in records]
+    """Records every shard can read (a fan-out reads each one S times)."""
+    return [materialize_record(record) for record in records]
 
 
 class ShardedIndex(SimilarityIndex):
@@ -138,7 +142,7 @@ class ShardedIndex(SimilarityIndex):
             groups,
             config.inner_backend,
             config.inner_config,
-            build_workers=config.build_workers,
+            max_workers=config.max_workers,
             profile=profile,
         )
         index = cls(
@@ -173,16 +177,13 @@ class ShardedIndex(SimilarityIndex):
         fused) ``search_many`` engine — records are partitioned, queries
         are not — so the per-shard passes overlap on the pool.
         """
-        if query_sizes is not None and len(query_sizes) != len(queries):
-            raise ConfigurationError("query_sizes must be parallel to queries")
-        materialized = _materialize_records(queries)
-        per_shard = self._executor.map(
-            lambda shard: shard.search_many(
-                materialized, threshold, query_sizes=query_sizes
+        return self._fan_out(
+            queries,
+            query_sizes,
+            lambda shard, batch: shard.search_many(
+                batch, threshold, query_sizes=query_sizes
             ),
-            self._shards,
         )
-        return merge_workload_hits(per_shard, self._globals(), len(materialized))
 
     def top_k(
         self, query: Iterable[object], k: int, query_size: int | None = None
@@ -203,15 +204,42 @@ class ShardedIndex(SimilarityIndex):
                 "top_k_many", "does not produce meaningful scores"
             )
         k = positive_k(k)
+        return self._fan_out(
+            queries,
+            query_sizes,
+            lambda shard, batch: shard.top_k_many(batch, k, query_sizes=query_sizes),
+            limit=k,
+        )
+
+    def _fan_out(
+        self,
+        queries: Sequence[Iterable[object]],
+        query_sizes: Sequence[int] | None,
+        answer: Callable[[SimilarityIndex, list], list[list[SearchResult]]],
+        limit: int | None = None,
+    ) -> list[list[SearchResult]]:
+        """``answer(shard, queries)`` on every shard, merged into result order.
+
+        Each shard's hit lists are read into (query, local id, score)
+        columns in one pass, local ids become global ids with one gather,
+        and :func:`~repro.core.index._assemble_workload_results` orders
+        every query at once, cutting it at ``limit``.
+        """
         if query_sizes is not None and len(query_sizes) != len(queries):
             raise ConfigurationError("query_sizes must be parallel to queries")
-        materialized = _materialize_records(queries)
-        per_shard = self._executor.map(
-            lambda shard: shard.top_k_many(materialized, k, query_sizes=query_sizes),
-            self._shards,
-        )
-        return merge_workload_hits(
-            per_shard, self._globals(), len(materialized), limit=k
+        batch = _materialize_records(queries)
+        per_shard = self._executor.map(lambda shard: answer(shard, batch), self._shards)
+        query_chunks, id_chunks, score_chunks = [], [], []
+        for hit_lists, globals_ in zip(per_shard, self._globals()):
+            counts = [len(hits) for hits in hit_lists]
+            hits = np.fromiter(
+                chain.from_iterable(hit_lists), dtype=_HIT, count=sum(counts)
+            )
+            query_chunks.append(np.repeat(np.arange(len(batch)), counts))
+            id_chunks.append(globals_[hits["id"]])
+            score_chunks.append(hits["score"])
+        return _assemble_workload_results(
+            len(batch), query_chunks, id_chunks, score_chunks, limit=limit
         )
 
     # --------------------------------------------------------------- updates
@@ -298,7 +326,7 @@ class ShardedIndex(SimilarityIndex):
         if not self.capabilities.dynamic:
             raise self._unsupported("update", "is not dynamic")
         global_id, shard, local = self._route(record_id)
-        materialized = _materialize_record(record)
+        materialized = materialize_record(record)
         # Checked here, so the re-raise below cannot mask a bad record as
         # an unknown id.
         check_record(materialized, "cannot update a record to be empty")

@@ -22,7 +22,8 @@ kmv) takes the one native path, chosen by class:
   ``from_flat`` — no per-shard re-hashing and no second frequency pass;
 - the per-shard ``from_flat`` calls fan out on a
   :class:`~repro.sharding.executor.ShardExecutor` thread pool sized by
-  ``build_workers`` (the sketch kernels release the GIL).
+  the sharded config's ``max_workers`` (the sketch kernels release the
+  GIL).
 
 A config whose ``method`` is ``"per-record"`` sketches every shard record
 at a time under the same pinned parameters (``from_parameters``), the
@@ -57,7 +58,7 @@ def build_shards(
     groups: Sequence[np.ndarray],
     inner_backend: str,
     inner_config: IndexConfig | None,
-    build_workers: int | None = None,
+    max_workers: int | None = None,
     profile: BuildProfile | None = None,
 ) -> list[SimilarityIndex]:
     """Build one inner index per shard.
@@ -68,7 +69,7 @@ def build_shards(
     ranks.  ``inner_config`` is validated against the inner backend's
     ``config_type``.
 
-    ``build_workers`` sizes the construction fan-out of the sketch
+    ``max_workers`` sizes the construction fan-out of the sketch
     backends (``None`` means one thread per core, capped at the shard
     count; an explicit value below the shard count is an
     oversubscription guard).  ``profile`` collects the per-stage build
@@ -77,7 +78,7 @@ def build_shards(
     inner_cls = get_backend(inner_backend)
     config = inner_cls.resolve_config(inner_config)
     if issubclass(inner_cls, SketchStoreIndex):
-        return _pinned_shards(inner_cls, records, groups, config, build_workers, profile)
+        return _pinned_shards(inner_cls, records, groups, config, max_workers, profile)
     return _generic_shards(inner_cls, records, groups, config)
 
 
@@ -91,7 +92,7 @@ def _pinned_shards(
     records,
     groups,
     config: IndexConfig,
-    build_workers: int | None,
+    max_workers: int | None,
     profile: BuildProfile | None,
 ) -> list[SketchStoreIndex]:
     """Flatten once, plan once, sketch every shard under the pinned plan."""
@@ -112,7 +113,7 @@ def _pinned_shards(
             for group in groups
         ]
     pieces = [slice_flat_records(flat, group) for group in groups]
-    executor = ShardExecutor(len(groups), build_workers)
+    executor = ShardExecutor(len(groups), max_workers)
     try:
         return executor.map(
             lambda piece: index_type.from_flat(piece, profile=profile, **pinned),

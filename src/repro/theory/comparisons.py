@@ -10,8 +10,6 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-import numpy as np
-
 from repro._errors import ConfigurationError
 from repro.core.estimators import intersection_variance
 from repro.theory.variance import average_k_gkmv, average_k_kmv, frequency_second_moment
@@ -91,11 +89,3 @@ def split_universe_variance_penalty(
         d_cap_1 + d_cap_2, d_cup_1 + d_cup_2, k_1 + k_2
     )
     return float(variance_split), float(variance_joint)
-
-
-def empirical_estimator_variance(estimates: Sequence[float]) -> float:
-    """Sample variance of repeated estimates (used to verify formulas empirically)."""
-    arr = np.asarray(estimates, dtype=np.float64)
-    if arr.size < 2:
-        raise ConfigurationError("need at least two estimates")
-    return float(arr.var(ddof=1))

@@ -96,8 +96,6 @@ class TestBuffer:
         right = vocabulary.buffer_for(["b", "c", "d"])
         assert left.intersection_count(right) == 2
         assert left.union_count(right) == 4
-        assert left.difference_count(right) == 1
-        assert right.difference_count(left) == 1
 
     def test_intersection_with_itself_is_count(self):
         vocabulary = FrequentElementVocabulary(["a", "b", "c"])

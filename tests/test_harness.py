@@ -141,10 +141,13 @@ class TestEvaluateDynamicStream:
         # One record short: the first insert id the searcher assigns is off
         # by one, which the harness must flag instead of mis-scoring.
         short = list(workload.initial_records)[:-1]
-        index = GBKMVIndex.build(short, space_fraction=1.0)
-        if workload.operation_counts()["insert"]:
-            with pytest.raises(ConfigurationError):
-                evaluate_dynamic_stream("GB-KMV", index, workload)
+        for coalesce_writes in (False, True):
+            index = GBKMVIndex.build(short, space_fraction=1.0)
+            if workload.operation_counts()["insert"]:
+                with pytest.raises(ConfigurationError):
+                    evaluate_dynamic_stream(
+                        "GB-KMV", index, workload, coalesce_writes=coalesce_writes
+                    )
 
     def test_run_dynamic_experiment_builds_every_method(self, zipf_records):
         workload = build_dynamic_workload(

@@ -46,6 +46,13 @@ def _dataset(num_records=400, seed=3):
     ]
 
 
+def _duplicated_dataset(num_records=400, num_distinct=50):
+    """Groups of identical records; the id hash spreads each group's copies
+    over the shards, so equal scores tie across shards."""
+    distinct = _dataset(num_distinct, seed=5)
+    return [distinct[position % num_distinct] for position in range(num_records)]
+
+
 def _queries(num_queries=12, seed=17):
     rng = np.random.default_rng(seed)
     return [
@@ -101,9 +108,21 @@ def test_shards_are_reasonably_balanced():
 # ------------------------------------------------------- bitwise identity
 @pytest.mark.parametrize("inner_backend", sorted(_INNER_CONFIGS))
 @pytest.mark.parametrize("num_shards", [1, 4])
-def test_search_identical_to_unsharded(inner_backend, num_shards):
-    records, queries = _dataset(), _queries()
+@pytest.mark.parametrize(
+    "corpus", [_dataset, _duplicated_dataset], ids=["zipf", "duplicates"]
+)
+def test_search_identical_to_unsharded(inner_backend, num_shards, corpus):
+    records, queries = corpus(), _queries()
     unsharded = create_index(inner_backend, records, _INNER_CONFIGS[inner_backend])
+    if corpus is _duplicated_dataset and num_shards > 1:
+        # top_k(7) cuts a tie whose records sit in different shards, so
+        # the merge's cut at k must break it by global id.
+        assert any(
+            hits[6].score == hits[7].score
+            and shard_of(hits[6].record_id, num_shards)
+            != shard_of(hits[7].record_id, num_shards)
+            for hits in unsharded.top_k_many(queries, 8)
+        )
     sharded = create_index(
         "sharded",
         records,
@@ -526,17 +545,22 @@ def test_generic_dynamic_backend_shards_exactly():
         "sharded", records, ShardedConfig(num_shards=4, inner_backend="toy-dynamic")
     )
     # Exact backends have no dataset-global parameters, so even the
-    # generic planner path reproduces the unsharded results verbatim.
-    assert_identical_workload(
-        unsharded.search_many(queries, 0.3), sharded.search_many(queries, 0.3)
-    )
+    # generic planner path reproduces the unsharded results verbatim,
+    # top-k included (its per-shard lists merge through the same cut).
+    def assert_identical():
+        assert_identical_workload(
+            unsharded.search_many(queries, 0.3), sharded.search_many(queries, 0.3)
+        )
+        assert_identical_workload(
+            unsharded.top_k_many(queries, 5), sharded.top_k_many(queries, 5)
+        )
+
+    assert_identical()
     assert sharded.insert(records[0]) == 120
     unsharded.insert(records[0])
     sharded.delete(3)
     unsharded.delete(3)
-    assert_identical_workload(
-        unsharded.search_many(queries, 0.3), sharded.search_many(queries, 0.3)
-    )
+    assert_identical()
     # Not persistent: the instance capabilities say so and save refuses.
     assert not sharded.capabilities.persistent
     with pytest.raises(Exception, match="not persistent"):
@@ -577,7 +601,7 @@ def test_parallel_build_identical_to_serial(inner_backend, num_shards):
             num_shards=num_shards,
             inner_backend=inner_backend,
             inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=1,
+            max_workers=1,
         ),
     )
     parallel = create_index(
@@ -587,7 +611,7 @@ def test_parallel_build_identical_to_serial(inner_backend, num_shards):
             num_shards=num_shards,
             inner_backend=inner_backend,
             inner_config=_INNER_CONFIGS[inner_backend],
-            build_workers=3,
+            max_workers=3,
         ),
     )
     try:
@@ -654,7 +678,7 @@ def test_parallel_build_identical_to_unsharded_gbkmv():
             num_shards=5,
             inner_backend="gbkmv",
             inner_config=_INNER_CONFIGS["gbkmv"],
-            build_workers=3,
+            max_workers=3,
         ),
     )
     try:
@@ -671,7 +695,7 @@ def test_build_profile_rows_sum_to_dataset_size():
     index = create_index(
         "sharded",
         records,
-        ShardedConfig(num_shards=4, inner_backend="gbkmv", build_workers=3),
+        ShardedConfig(num_shards=4, inner_backend="gbkmv", max_workers=3),
     )
     try:
         profile = index.last_build_profile
