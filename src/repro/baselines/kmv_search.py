@@ -38,7 +38,12 @@ from repro._errors import ConfigurationError, EmptyDatasetError, SnapshotFormatE
 from repro.api.config import GKMVConfig, KMVConfig
 from repro.core.batched import kmv_intersection_estimates
 from repro.core.buffer import FrequentElementVocabulary
-from repro.core.bulk import FlatRecords, bulk_kmv_value_rows, resolve_space_budget
+from repro.core.bulk import (
+    BulkSketches,
+    FlatRecords,
+    bulk_kmv_value_rows,
+    resolve_space_budget,
+)
 from repro.core.index import GBKMVIndex, SketchStoreIndex, _json_payload, _Workload
 from repro.core.profiling import BuildProfile
 from repro.core.store import SNAPSHOT_VERSION
@@ -158,28 +163,27 @@ class KMVSearchIndex(SketchStoreIndex):
     def _split(self, record: Iterable[object]) -> tuple[int, list]:
         return 0, list(set(record))
 
-    def _keep(self, hashes: np.ndarray, num_elements: int) -> tuple[np.ndarray, bool]:
-        kept = hashes[: self._k]
-        return kept, kept.size >= hashes.size
+    def _keep(self, hashes: np.ndarray) -> np.ndarray:
+        return hashes[: self._k]
 
-    def _ingest_bulk(
+    def _sketch_bulk(
         self,
         flat: FlatRecords,
-        unique_hashes: np.ndarray | None = None,
         profile: BuildProfile | None = None,
-    ) -> np.ndarray:
+        unique_hashes: np.ndarray | None = None,
+    ) -> BulkSketches:
         values, lengths = bulk_kmv_value_rows(
             flat, self._hasher, self._k, unique_hashes=unique_hashes, profile=profile
         )
         # A KMV row has no buffer (a zero-width signature) and records |X|
-        # as both of its sizes, so the store's exactness flag is the sketch's.
-        return self._store.append_bulk(
+        # as both of its sizes, so exactness (kept values >= residual size)
+        # is KMVSketch.is_exact.
+        return BulkSketches(
             values=values,
-            value_lengths=lengths,
+            value_offsets=np.concatenate([np.zeros(1, dtype=np.int64), np.cumsum(lengths)]),
             signatures=np.empty((lengths.size, 0), dtype=np.uint64),
             residual_record_sizes=flat.record_sizes,
             record_sizes=flat.record_sizes,
-            profile=profile,
         )
 
     def _residual_estimates(
@@ -192,18 +196,17 @@ class KMVSearchIndex(SketchStoreIndex):
         """Equation 10 over the value-sharing pairs."""
         store = self._store
         offsets = store.offsets
-        query_offsets = np.zeros(workload.num_values.size + 1, dtype=np.int64)
-        np.cumsum(workload.num_values, out=query_offsets[1:])
+        num_values, exact = workload.value_counts()
         return kmv_intersection_estimates(
             counts,
             store.values,
             offsets[rows],
             offsets[rows + 1] - offsets[rows],
             store.row_exact[rows],
-            np.concatenate(workload.values),
-            query_offsets[query_idx],
-            workload.num_values[query_idx],
-            workload.exact[query_idx],
+            workload.values,
+            workload.offsets[query_idx],
+            num_values[query_idx],
+            exact[query_idx],
         )
 
     # ------------------------------------------------------------ persistence

@@ -56,7 +56,8 @@ FNV fold by construction) would break that identity:
 * a collision *inside an existing vocabulary* is detected up front —
   :func:`vocabulary_lookup` raises :class:`FingerprintCollisionError`,
   and the pinned-parameter ingest paths (``from_parameters``,
-  ``insert_many``) fall back to the exact per-record split;
+  ``insert_many``) and query workloads fall back to the exact
+  per-record split;
 * a collision *between dataset elements* during ``build`` merges the
   pair's frequency counts before the vocabulary is chosen, which can
   select a different vocabulary than the ``Counter`` path would.
@@ -583,7 +584,7 @@ def vocabulary_lookup(vocabulary: FrequentElementVocabulary) -> VocabularyLookup
 
 @dataclass(frozen=True)
 class BulkSketches:
-    """Flat sketch columns for a batch of records, ready for bulk append.
+    """Flat sketch columns for a batch of records (or queries), ready for bulk append.
 
     Exactly the per-row state ``GBKMVIndex._sketch_parts`` produces, as
     arrays: ``values[value_offsets[i]:value_offsets[i + 1]]`` are record
@@ -670,6 +671,7 @@ def bulk_sketch(
     hasher: UnitHash,
     num_words: int,
     unique_hashes: np.ndarray | None = None,
+    in_vocabulary: np.ndarray | None = None,
     profile: BuildProfile | None = None,
 ) -> BulkSketches:
     """Sketch a flattened dataset under pinned parameters, all at once.
@@ -686,22 +688,24 @@ def bulk_sketch(
     segment-boundary dedup — the result is bitwise identical to running
     ``_sketch_parts`` record by record.
 
-    ``unique_hashes`` lets a caller that already hashed
-    ``flat.unique_fingerprints`` (the build path hashes the residual
-    universe for the threshold computation) hand the full array in and
-    skip the redundant hashing pass.  ``profile`` records the pass as
-    one ``"sketch"`` stage (per-shard recordings sum to dataset size).
+    ``unique_hashes`` and ``in_vocabulary`` let a caller that already
+    derived them over ``flat.unique_fingerprints`` (the build's plan
+    hashes the universe and decides membership for the threshold
+    computation) hand them in: each value's hash, and whether it is a
+    vocabulary member.  ``profile`` records the pass as one
+    ``"sketch"`` stage (per-shard recordings sum to dataset size).
     """
     start = time.perf_counter()
     num_records = flat.num_records
     record_sizes = flat.record_sizes
     if unique_hashes is None:
         unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
-    in_vocab = lookup.member_mask(flat.unique_fingerprints)
-    kept = ~in_vocab
+    if in_vocabulary is None:
+        in_vocabulary = lookup.member_mask(flat.unique_fingerprints)
+    kept = ~in_vocabulary
     kept &= unique_hashes <= threshold
 
-    buffer_at = np.flatnonzero(in_vocab[flat.inverse])
+    buffer_at = np.flatnonzero(in_vocabulary[flat.inverse])
     buffer_records = np.searchsorted(flat.offsets, buffer_at, side="right") - 1
     signatures = pack_signatures_bulk(
         buffer_records,

@@ -61,7 +61,7 @@ import time
 from abc import abstractmethod
 from collections import Counter
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import accumulate, repeat
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -84,6 +84,7 @@ from repro.core.buffer import (
     FrequentElementVocabulary,
 )
 from repro.core.bulk import (
+    BulkSketches,
     FingerprintCollisionError,
     FlatRecords,
     VocabularyLookup,
@@ -148,7 +149,10 @@ class WorkloadExecutionStats:
     derived when the caller left it to the default).  ``num_blocks`` and
     ``peak_block_cells`` (the largest ``(swept queries, block)`` matrix
     materialised) count only that swept work, so a call whose queries
-    all fall below their bound reports ``0`` for all three.
+    all fall below their bound reports ``0`` for all three.  A query
+    whose bound ``|H_Q| / |Q|`` is 0 is never swept: ``search_many`` has
+    no hit for it outside its estimator pairs at a positive threshold,
+    and ``top_k_many`` completes its list with the smallest live ids.
     ``dense_cells`` is the ``(B, num_rows)`` matrix an unblocked,
     unpruned engine would have allocated; ``hit_pairs`` the pairs
     finally emitted as results.
@@ -172,17 +176,18 @@ class PlannedParameters:
     Returned by :meth:`GBKMVIndex.plan_parameters`: everything the
     construction pinned over the full dataset — the frequent-element
     vocabulary, the residual threshold ``τ``, the shared hasher and the
-    resolved space budget — plus the two derivation by-products
-    (``lookup`` and ``unique_hashes``) that the ingest reuses instead of
-    recomputing.  The fields are :meth:`SketchStoreIndex.from_flat`'s
-    keywords.
+    resolved space budget — plus the two derivation by-products over the
+    dataset's unique fingerprints (``in_vocabulary``, each value's
+    vocabulary membership, and ``unique_hashes``) that the ingest reuses
+    instead of recomputing.  The fields are
+    :meth:`SketchStoreIndex.from_flat`'s keywords.
     """
 
     vocabulary: FrequentElementVocabulary
     threshold: float
     hasher: UnitHash
     budget: float
-    lookup: VocabularyLookup
+    in_vocabulary: np.ndarray
     unique_hashes: np.ndarray
 
 
@@ -301,19 +306,28 @@ def _json_payload(path, data, key: str, backend_id: str) -> dict:
 
 @dataclass(frozen=True)
 class _Workload:
-    """A workload reduced to the per-query arrays the engine consumes."""
+    """A workload reduced to the arrays the engine consumes, a row per query."""
 
-    #: Kept residual hash values of each query, sorted ascending.
-    values: list[np.ndarray]
-    #: Buffer bitmap of each query.
-    masks: list[int]
-    #: ``|L_Q|``, the largest kept value (``0.0`` when none) and whether
-    #: every residual hash value survived the threshold.
-    num_values: np.ndarray
-    max_values: np.ndarray
-    exact: np.ndarray
+    #: Kept residual hash values, query after query, each query's sorted
+    #: ascending: ``values[offsets[i]:offsets[i + 1]]`` are query ``i``'s.
+    values: np.ndarray
+    offsets: np.ndarray
+    #: Distinct residual elements per query, kept or not.
+    residual_sizes: np.ndarray
+    #: Packed buffer bitmaps, ``(B, num_words)`` uint64.
+    words: np.ndarray
     #: ``|Q|`` as float64, the divisor of every score.
     sizes: np.ndarray
+
+    def value_counts(self) -> tuple[np.ndarray, np.ndarray]:
+        """``|L_Q|`` of each query, and whether it kept every residual hash
+        value: the store's ``row_exact`` rule, the scalar ``is_exact``.
+
+        Only the estimators read them, once per workload with value-sharing
+        pairs, so they are derived there and not for every workload.
+        """
+        num_values = self.offsets[1:] - self.offsets[:-1]
+        return num_values, num_values >= self.residual_sizes
 
 
 #: Id of an empty slot in a running top-k list: sorts after every record id.
@@ -394,6 +408,43 @@ def _merge_top(
     top_ids[slots] = all_ids[order][keep]
 
 
+def _fill_with_zero_scores(
+    top_scores: np.ndarray,
+    top_ids: np.ndarray,
+    queries: np.ndarray,
+    store: ColumnarSketchStore,
+) -> None:
+    """Complete the running top lists of ``queries`` with the smallest live ids.
+
+    These queries' bound ``|H_Q| / |Q|`` is 0: every record outside their
+    lists scores exactly ``0.0``, so the smallest ids they do not hold
+    fill their lists.  A list holds at most ``limit`` ids, so the
+    ``limit`` + (most held) smallest live ids contain enough it lacks.
+    """
+    limit = top_ids.shape[1]
+    held = top_ids[queries]
+    num_held = np.count_nonzero(held != _NO_ID, axis=1)
+    smallest = store.smallest_live_ids(limit + int(num_held.max()))
+    empty = num_held == 0
+    top_scores[queries[empty]] = 0.0
+    top_ids[queries[empty]] = smallest[:limit]
+    if empty.all():
+        return
+    # A held id keeps its own score: drop it from the candidates, by
+    # matching packed (list, id) keys.
+    partial, held = queries[~empty], held[~empty]
+    lists, slots = np.nonzero(held != _NO_ID)
+    span = store.next_id
+    fresh = ~np.isin(
+        np.arange(partial.size)[:, np.newaxis] * span + smallest,
+        lists * span + held[lists, slots],
+    )
+    lists, columns = np.nonzero(fresh)
+    _merge_top(
+        top_scores, top_ids, partial[lists], smallest[columns], np.zeros(lists.size)
+    )
+
+
 class SketchStoreIndex(SimilarityIndex):
     """The half of a sketch index that every sketch family shares.
 
@@ -436,9 +487,8 @@ class SketchStoreIndex(SimilarityIndex):
         """A record's buffer bitmap and its distinct elements outside the buffer."""
 
     @abstractmethod
-    def _keep(self, hashes: np.ndarray, num_elements: int) -> tuple[np.ndarray, bool]:
-        """The values kept of ``num_elements`` elements' sorted distinct hashes,
-        and whether they are all of them (an exact sketch)."""
+    def _keep(self, hashes: np.ndarray) -> np.ndarray:
+        """The values a sketch keeps of a record's sorted distinct hashes."""
 
     @classmethod
     @abstractmethod
@@ -459,16 +509,16 @@ class SketchStoreIndex(SimilarityIndex):
         """The paper-literal record-at-a-time construction (the oracle)."""
 
     @abstractmethod
-    def _ingest_bulk(
-        self,
-        flat: FlatRecords,
-        unique_hashes: np.ndarray | None = None,
-        profile: BuildProfile | None = None,
-    ) -> np.ndarray:
-        """Sketch a flattened batch in bulk and append it; returns its ids.
+    def _sketch_bulk(
+        self, flat: FlatRecords, profile: BuildProfile | None = None, **hints
+    ) -> BulkSketches | None:
+        """Sketch a flattened batch with the family's bulk kernel, all at once.
 
-        ``unique_hashes`` are the hashes of ``flat.unique_fingerprints``
-        when the caller already has them.
+        ``hints`` are the :attr:`_INGEST_HINTS` a plan derived over the
+        dataset ``flat`` was flattened from.  ``None`` when the kernel
+        cannot sketch under these parameters (a vocabulary with a
+        fingerprint collision); the batch is then sketched record by
+        record.
         """
 
     @abstractmethod
@@ -645,11 +695,36 @@ class SketchStoreIndex(SimilarityIndex):
         return self.space_in_values() / total_elements
 
     # ---------------------------------------------------------------- updates
-    def _sketch_parts(self, record: set) -> tuple[int, np.ndarray, int]:
+    def _sketch_parts(self, record: Iterable[object]) -> tuple[int, np.ndarray, int]:
         """Split a record into (buffer mask, kept residual values, residual size)."""
         mask, residual = self._split(record)
         hashes = np.unique(self._hasher.hash_many(residual))
-        return mask, self._keep(hashes, len(residual))[0], len(residual)
+        return mask, self._keep(hashes), len(residual)
+
+    def _ingest_bulk(
+        self, flat: FlatRecords, profile: BuildProfile | None = None, **hints
+    ) -> np.ndarray:
+        """Sketch a flattened batch in bulk and append it in one staged merge.
+
+        Returns the assigned record ids.  Falls back to one
+        :meth:`_add_record` per record when :meth:`_sketch_bulk` cannot
+        sketch the batch.
+        """
+        sketches = self._sketch_bulk(flat, profile=profile, **hints)
+        if sketches is None:
+            ids = [
+                self._add_record(set(flat.record_elements(position)))
+                for position in range(flat.num_records)
+            ]
+            return np.asarray(ids, dtype=np.int64)
+        return self._store.append_bulk(
+            values=sketches.values,
+            value_lengths=sketches.value_lengths,
+            signatures=sketches.signatures,
+            residual_record_sizes=sketches.residual_record_sizes,
+            record_sizes=sketches.record_sizes,
+            profile=profile,
+        )
 
     def _add_record(self, record: set) -> int:
         """Insert one record's sketch row; returns its record id."""
@@ -895,53 +970,64 @@ class SketchStoreIndex(SimilarityIndex):
         queries: Sequence[Iterable[object]],
         query_sizes: Sequence[int] | None,
     ) -> _Workload:
-        """Reduce a workload to the arrays the engine consumes.
+        """Sketch a workload into the arrays the engine consumes.
 
-        Per query this keeps exactly the values the family's sketch of
-        the query keeps (hashes are per-element, so hashing every query's
-        elements in one call and slicing is value-identical), but the
-        workload pays one ``hash_many`` call instead of one per query.
+        Each query keeps exactly the values, buffer bits and exactness
+        that a record of the same elements keeps.  A workload of two or
+        more queries is sketched as :meth:`insert_many` sketches records:
+        one :func:`~repro.core.bulk.flatten_records` pass and the family's
+        bulk kernel (:meth:`_sketch_bulk`), with no Python step per query.
+        A single query is sketched as :meth:`insert` sketches a record
+        (:meth:`_sketch_parts`), which costs less than the bulk kernels'
+        fixed cost.  The queries are also sketched one at a time when the
+        bulk kernel cannot sketch under the index's parameters, and when
+        the bulk pass rejects the workload, so that a malformed query
+        (empty, or holding an element of an unsupported type) raises the
+        error it raises alone.
         """
-        masks: list[int] = []
-        residuals: list[list[object]] = []
-        sizes: list[int] = []
-        for position, query in enumerate(queries):
-            mask, residual = self._split(query)
-            distinct = mask.bit_count() + len(residual)
-            if not distinct:
-                raise ConfigurationError("query must contain at least one element")
-            q = distinct if query_sizes is None else int(query_sizes[position])
-            if q <= 0:
+        sketches = None
+        if len(queries) > 1:
+            try:
+                sketches = self._sketch_bulk(flatten_records(queries))
+            except (ConfigurationError, TypeError):
+                pass  # sketched one at a time below, where each raises its own error
+        if sketches is None:
+            sketches = self._sketch_each(queries)
+        if query_sizes is None:
+            sizes = sketches.record_sizes
+        else:
+            sizes = np.array([int(size) for size in query_sizes], dtype=np.int64)
+            if np.any(sizes <= 0):
                 raise ConfigurationError("query_size must be positive")
-            masks.append(mask)
-            residuals.append(residual)
-            sizes.append(q)
-        hashes = self._hasher.hash_many(
-            [element for residual in residuals for element in residual]
-        )
-        values: list[np.ndarray] = []
-        exact: list[bool] = []
-        offset = 0
-        for residual in residuals:
-            kept, kept_all = self._keep(
-                np.unique(hashes[offset : offset + len(residual)]), len(residual)
-            )
-            values.append(kept)
-            exact.append(kept_all)
-            offset += len(residual)
         return _Workload(
-            values=values,
-            masks=masks,
-            num_values=np.array([kept.size for kept in values], dtype=np.int64),
-            max_values=np.array(
-                [kept[-1] if kept.size else 0.0 for kept in values], dtype=np.float64
-            ),
-            exact=np.array(exact, dtype=bool),
-            sizes=np.array(sizes, dtype=np.float64),
+            values=sketches.values,
+            offsets=sketches.value_offsets,
+            residual_sizes=sketches.residual_record_sizes,
+            words=sketches.signatures,
+            sizes=sizes.astype(np.float64),
+        )
+
+    def _sketch_each(self, queries: Sequence[Iterable[object]]) -> BulkSketches:
+        """The queries' sketches, one :meth:`_sketch_parts` call per query."""
+        masks, kept, residual_sizes, record_sizes = [], [], [], []
+        for query in queries:
+            mask, values, residual_size = self._sketch_parts(query)
+            if not (mask or residual_size):
+                raise ConfigurationError("query must contain at least one element")
+            masks.append(mask)
+            kept.append(values)
+            residual_sizes.append(residual_size)
+            record_sizes.append(mask.bit_count() + residual_size)
+        return BulkSketches(
+            values=np.concatenate(kept),
+            value_offsets=np.array([0, *accumulate(map(len, kept))], dtype=np.int64),
+            signatures=self._store.pack_signature_masks(masks),
+            residual_record_sizes=np.array(residual_sizes),
+            record_sizes=np.array(record_sizes),
         )
 
     def _score_estimator_pairs(
-        self, workload: _Workload, query_words: np.ndarray, alive: np.ndarray | None
+        self, workload: _Workload, alive: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Score every live (query, row) pair that shares a stored value, once.
 
@@ -955,7 +1041,7 @@ class SketchStoreIndex(SimilarityIndex):
         nothing touches rows the queries miss.
         """
         store = self._store
-        query_idx, rows, counts = store.match_workload(workload.values)
+        query_idx, rows, counts = store.match_workload(workload.values, workload.offsets)
         if alive is not None and query_idx.size:
             keep = alive[rows]
             query_idx, rows, counts = query_idx[keep], rows[keep], counts[keep]
@@ -966,7 +1052,7 @@ class SketchStoreIndex(SimilarityIndex):
         # more, and so does fancy-indexing whole rows instead of ``take``.
         words = np.bitwise_count(
             np.take(store.signatures, rows, axis=0)
-            & np.take(query_words, query_idx, axis=0)
+            & np.take(workload.words, query_idx, axis=0)
         )
         overlap = np.zeros(rows.size, dtype=np.float64)
         for word_overlap in words.T:
@@ -975,15 +1061,14 @@ class SketchStoreIndex(SimilarityIndex):
         return query_idx, rows, overlap + residual
 
     def _engine_inputs(self, workload: _Workload):
-        """What both engine calls start from: packed masks, the result view,
-        ``|H_Q|`` per query and the scored estimator pairs."""
+        """What both engine calls start from: the result view, ``|H_Q|`` per
+        query and the scored estimator pairs."""
         store = self._store
         store.finalize()
-        query_words = store.pack_signature_masks(workload.masks)
         row_ids, alive = store.result_view()
-        buffer_sizes = np.bitwise_count(query_words).sum(axis=1, dtype=np.int64)
-        pairs = self._score_estimator_pairs(workload, query_words, alive)
-        return query_words, row_ids, alive, buffer_sizes, pairs
+        buffer_sizes = np.bitwise_count(workload.words).sum(axis=1, dtype=np.int64)
+        pairs = self._score_estimator_pairs(workload, alive)
+        return row_ids, alive, buffer_sizes, pairs
 
     def search(
         self,
@@ -1077,7 +1162,7 @@ class SketchStoreIndex(SimilarityIndex):
             return []
         workload = self._prepare_workload(queries, query_sizes)
         store = self._store
-        query_words, row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
+        row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
         query_idx, pair_rows, pair_scores = pairs
         sizes = workload.sizes
         num_queries, num_rows = sizes.size, store.num_rows
@@ -1105,7 +1190,7 @@ class SketchStoreIndex(SimilarityIndex):
             # narrowest integer dtype holding that keeps the test exact.
             max_overlap = BITS_PER_WORD * store.num_words
             dtype = np.uint8 if max_overlap <= np.iinfo(np.uint8).max else np.int32
-            swept_words = query_words[swept]
+            swept_words = workload.words[swept]
             swept_floor = floor[swept].astype(dtype)[:, np.newaxis]
             local = np.full(num_queries, -1, dtype=np.int64)
             local[swept] = np.arange(swept.size)
@@ -1167,13 +1252,26 @@ class SketchStoreIndex(SimilarityIndex):
 
         Each query's running top-``k`` list (decreasing score, ties by
         increasing id) is seeded with its scored estimator pairs.  Every
-        other record scores at most ``|H_Q| / |Q|``, so a block of rows is
-        swept for a query only while that bound can still displace the
-        running ``k``-th entry: the list holds fewer than ``k`` records,
-        the bound is above the ``k``-th score, or it equals it and the
-        block holds a live id below the ``k``-th id.  Only the swept
-        cells that beat the ``k``-th entry are merged in.  Peak memory is
-        ``O(B × (row_block_size + k))``.
+        other record scores at most the bound ``|H_Q| / |Q|``, and the
+        threshold algorithm's stopping rule (Fagin, Lotem and Naor,
+        "Optimal Aggregation Algorithms for Middleware", PODS 2001) decides
+        what is left to score:
+
+        * A query whose bound is 0 scores exactly ``0.0`` on every other
+          record, so its list is completed at once with the smallest live
+          ids it does not hold, and it is never swept.
+        * Any other query is swept over a block of rows only while its
+          bound can still displace its running ``k``-th entry: the list
+          holds fewer than ``k`` records, the bound is above the ``k``-th
+          score, or it equals it and the block holds a live id below the
+          ``k``-th id.  Only the swept cells that beat the ``k``-th entry
+          are merged in.
+        * While ids ascend with the rows (no record was updated since the
+          last compaction or load), the sweep stops at the first block
+          that no query can enter: no bound beats its ``k``-th score, and
+          every tied list's ``k``-th id is at most the block's first id.
+
+        Peak memory is ``O(B × (row_block_size + k))``.
         """
         k = positive_k(k)
         if query_sizes is not None and len(query_sizes) != len(queries):
@@ -1183,7 +1281,7 @@ class SketchStoreIndex(SimilarityIndex):
             return []
         workload = self._prepare_workload(queries, query_sizes)
         store = self._store
-        query_words, row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
+        row_ids, alive, buffer_sizes, pairs = self._engine_inputs(workload)
         query_idx, pair_rows, pair_scores = pairs
         sizes = workload.sizes
         num_queries, num_rows = sizes.size, store.num_rows
@@ -1201,59 +1299,68 @@ class SketchStoreIndex(SimilarityIndex):
             )
         # The same float division the cell scores use, so the bound holds.
         bound = buffer_sizes.astype(np.float64) / sizes
-        order = stable_argsort(pair_rows)
-        skip_rows, skip_queries = pair_rows[order], query_idx[order]
-        local = np.full(num_queries, -1, dtype=np.int64)
+        sweepable = buffer_sizes > 0
+        if limit and not sweepable.all():
+            _fill_with_zero_scores(top_scores, top_ids, np.flatnonzero(~sweepable), store)
         swept = np.zeros(num_queries, dtype=bool)
-        num_blocks = 0
-        peak_cells = 0
-        for row_lo in range(0, num_rows if limit else 0, block):
-            row_hi = min(row_lo + block, num_rows)
-            kth_scores, kth_ids = top_scores[:, -1], top_ids[:, -1]
-            column_ids = (
-                np.arange(row_lo, row_hi) if row_ids is None else row_ids[row_lo:row_hi]
-            )
-            alive_block = None if alive is None else alive[row_lo:row_hi]
-            active = bound > kth_scores
-            tied = bound == kth_scores
-            if tied.any():
-                live_ids = column_ids if alive_block is None else column_ids[alive_block]
-                if live_ids.size:
-                    active |= tied & (live_ids.min() < kth_ids)
-            active_queries = np.nonzero(active)[0]
-            if not active_queries.size:
-                continue
-            num_blocks += 1
-            peak_cells = max(peak_cells, active_queries.size * (row_hi - row_lo))
-            swept[active_queries] = True
-            cell_scores = store.signature_overlap_block(
-                query_words[active_queries], row_lo, row_hi, dtype=np.float64
-            )
-            cell_scores /= sizes[active_queries, np.newaxis]
-            kth_score = kth_scores[active_queries, np.newaxis]
-            beats = (cell_scores > kth_score) | (
-                (cell_scores == kth_score)
-                & (column_ids < kth_ids[active_queries, np.newaxis])
-            )
-            if alive_block is not None:
-                beats &= alive_block
-            local.fill(-1)
-            local[active_queries] = np.arange(active_queries.size)
-            _clear_pair_cells(beats, local, skip_rows, skip_queries, row_lo, row_hi)
-            candidates, columns = _top_cells(
-                cell_scores,
-                beats,
-                limit,
-                row_ids is None or bool(np.all(column_ids[1:] > column_ids[:-1])),
-            )
-            if candidates.size:
-                _merge_top(
-                    top_scores,
-                    top_ids,
-                    active_queries[candidates],
-                    column_ids[columns],
-                    cell_scores[candidates, columns],
+        num_blocks = peak_cells = 0
+        if limit and sweepable.any():
+            order = stable_argsort(pair_rows)
+            skip_rows, skip_queries = pair_rows[order], query_idx[order]
+            local = np.full(num_queries, -1, dtype=np.int64)
+            ids_ascending = store.ids_ascending
+            for row_lo in range(0, num_rows, block):
+                row_hi = min(row_lo + block, num_rows)
+                kth_scores, kth_ids = top_scores[:, -1], top_ids[:, -1]
+                active = sweepable & (bound > kth_scores)
+                tied = sweepable & (bound == kth_scores)
+                if ids_ascending and not active.any():
+                    # Every later row holds an id at least this block's first.
+                    first_id = row_lo if row_ids is None else row_ids[row_lo]
+                    if not np.any(kth_ids[tied] > first_id):
+                        break
+                column_ids = (
+                    np.arange(row_lo, row_hi) if row_ids is None else row_ids[row_lo:row_hi]
                 )
+                alive_block = None if alive is None else alive[row_lo:row_hi]
+                if tied.any():
+                    live_ids = column_ids if alive_block is None else column_ids[alive_block]
+                    if live_ids.size:
+                        active |= tied & (live_ids.min() < kth_ids)
+                active_queries = np.nonzero(active)[0]
+                if not active_queries.size:
+                    continue
+                num_blocks += 1
+                peak_cells = max(peak_cells, active_queries.size * (row_hi - row_lo))
+                swept[active_queries] = True
+                cell_scores = store.signature_overlap_block(
+                    workload.words[active_queries], row_lo, row_hi, dtype=np.float64
+                )
+                cell_scores /= sizes[active_queries, np.newaxis]
+                kth_score = kth_scores[active_queries, np.newaxis]
+                beats = (cell_scores > kth_score) | (
+                    (cell_scores == kth_score)
+                    & (column_ids < kth_ids[active_queries, np.newaxis])
+                )
+                if alive_block is not None:
+                    beats &= alive_block
+                local.fill(-1)
+                local[active_queries] = np.arange(active_queries.size)
+                _clear_pair_cells(beats, local, skip_rows, skip_queries, row_lo, row_hi)
+                candidates, columns = _top_cells(
+                    cell_scores,
+                    beats,
+                    limit,
+                    ids_ascending or bool(np.all(column_ids[1:] > column_ids[:-1])),
+                )
+                if candidates.size:
+                    _merge_top(
+                        top_scores,
+                        top_ids,
+                        active_queries[candidates],
+                        column_ids[columns],
+                        cell_scores[candidates, columns],
+                    )
 
         filled_queries, slots = np.nonzero(top_ids != _NO_ID)
         self.last_workload_stats = WorkloadExecutionStats(
@@ -1286,7 +1393,7 @@ class GBKMVIndex(SketchStoreIndex):
 
     backend_id = "gbkmv"
     config_type = GBKMVConfig
-    _INGEST_HINTS = ("lookup", "unique_hashes")
+    _INGEST_HINTS = ("in_vocabulary", "unique_hashes")
 
     def __init__(
         self,
@@ -1298,6 +1405,14 @@ class GBKMVIndex(SketchStoreIndex):
         super().__init__(hasher, budget, signature_bits=vocabulary.size)
         self._vocabulary = vocabulary
         self._threshold = float(threshold)
+        # The bulk kernel's view of the vocabulary, for every batch of
+        # records or queries; None when two of its elements share a
+        # fingerprint, and every batch is then split record by record.
+        self._lookup: VocabularyLookup | None
+        try:
+            self._lookup = vocabulary_lookup(vocabulary)
+        except FingerprintCollisionError:
+            self._lookup = None
 
     # ------------------------------------------------------------------ build
     @classmethod
@@ -1415,10 +1530,11 @@ class GBKMVIndex(SketchStoreIndex):
         residual_budget = max(budget - buffer_cost, 0.0)
         # The vocabulary's elements are exactly representatives of unique
         # fingerprints, so the residual split over uniques is a
-        # fingerprint-membership mask — no mapping materialisation.
+        # fingerprint-membership mask — no mapping materialisation.  The
+        # ingest reuses the mask instead of deciding membership again.
         start = time.perf_counter()
-        lookup = vocabulary_lookup(vocabulary)
-        residual_unique = ~lookup.member_mask(flat.unique_fingerprints)
+        in_vocabulary = vocabulary_lookup(vocabulary).member_mask(flat.unique_fingerprints)
+        residual_unique = ~in_vocabulary
         unique_hashes = hasher.hash_fingerprints(flat.unique_fingerprints)
         threshold = residual_threshold_from_hashes(
             unique_hashes[residual_unique],
@@ -1436,7 +1552,7 @@ class GBKMVIndex(SketchStoreIndex):
             threshold=threshold,
             hasher=hasher,
             budget=budget,
-            lookup=lookup,
+            in_vocabulary=in_vocabulary,
             unique_hashes=unique_hashes,
         )
 
@@ -1512,47 +1628,31 @@ class GBKMVIndex(SketchStoreIndex):
         buffer, residual = self._vocabulary.split_record(record)
         return buffer.mask, residual
 
-    def _keep(self, hashes: np.ndarray, num_elements: int) -> tuple[np.ndarray, bool]:
-        kept = hashes[hashes <= self._threshold]
-        return kept, kept.size >= num_elements
+    def _keep(self, hashes: np.ndarray) -> np.ndarray:
+        return hashes[hashes <= self._threshold]
 
-    def _ingest_bulk(
+    def _sketch_bulk(
         self,
         flat: FlatRecords,
-        lookup: VocabularyLookup | None = None,
-        unique_hashes: np.ndarray | None = None,
         profile: BuildProfile | None = None,
-    ) -> np.ndarray:
-        """Sketch a flattened batch in bulk and append it in one staged merge.
+        in_vocabulary: np.ndarray | None = None,
+        unique_hashes: np.ndarray | None = None,
+    ) -> BulkSketches | None:
+        """:func:`~repro.core.bulk.bulk_sketch` under the index's parameters.
 
-        Returns the assigned record ids.  Falls back to the per-record
-        path when the vocabulary has an internal fingerprint collision
+        ``None`` when the vocabulary has an internal fingerprint collision
         (the one case the bulk membership lookup cannot resolve).
         """
-        if lookup is None:
-            try:
-                lookup = vocabulary_lookup(self._vocabulary)
-            except FingerprintCollisionError:
-                ids = [
-                    self._add_record(set(flat.record_elements(position)))
-                    for position in range(flat.num_records)
-                ]
-                return np.asarray(ids, dtype=np.int64)
-        sketches = bulk_sketch(
+        if self._lookup is None:
+            return None
+        return bulk_sketch(
             flat,
-            lookup,
+            self._lookup,
             self._threshold,
             self._hasher,
             self._store.num_words,
             unique_hashes=unique_hashes,
-            profile=profile,
-        )
-        return self._store.append_bulk(
-            values=sketches.values,
-            value_lengths=sketches.value_lengths,
-            signatures=sketches.signatures,
-            residual_record_sizes=sketches.residual_record_sizes,
-            record_sizes=sketches.record_sizes,
+            in_vocabulary=in_vocabulary,
             profile=profile,
         )
 
@@ -1566,14 +1666,18 @@ class GBKMVIndex(SketchStoreIndex):
         """Equation 25 over the value-sharing pairs."""
         store = self._store
         offsets = store.offsets
+        num_values, exact = workload.value_counts()
+        # Each query's last kept value is its largest; only queries that
+        # share a value, so keep one, are gathered.
+        max_values = workload.values[workload.offsets[1:] - 1]
         return residual_intersection_estimates(
             counts,
             offsets[rows + 1] - offsets[rows],
             store.row_max[rows],
             store.row_exact[rows],
-            workload.num_values[query_idx],
-            workload.max_values[query_idx],
-            workload.exact[query_idx],
+            num_values[query_idx],
+            max_values[query_idx],
+            exact[query_idx],
         )
 
     def _snapshot_meta(self) -> dict:

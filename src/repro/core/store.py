@@ -189,6 +189,7 @@ class ColumnarSketchStore:
         self._num_dead = 0
         self._dead_values = 0
         self._ids_identity = True  # row_ids[i] == i for every physical row
+        self._ids_ascending = True  # row_ids increase with the physical row
 
         # Derived query-time caches (maintained incrementally where possible).
         self._finalized = False
@@ -238,6 +239,8 @@ class ColumnarSketchStore:
                 raise ConfigurationError(f"record id {record_id} is already live")
         row = self.num_rows
         self._ids_identity = self._ids_identity and record_id == row
+        # Every id handed out so far is below next_id (an update reuses one).
+        self._ids_ascending = self._ids_ascending and record_id >= self._next_id
         self._pending_values.append(np.asarray(values, dtype=np.float64))
         self._pending_masks.append(int(mask))
         self._pending_residual_sizes.append(int(residual_record_size))
@@ -554,6 +557,7 @@ class ColumnarSketchStore:
         self._ids_identity = bool(
             np.array_equal(self._row_ids, np.arange(self._row_ids.size, dtype=np.int64))
         )
+        self._ids_ascending = bool(np.all(self._row_ids[1:] > self._row_ids[:-1]))
 
     def truncate_values(self, threshold: float) -> None:
         """Drop every stored value above ``threshold`` (per-row prefixes survive).
@@ -703,6 +707,7 @@ class ColumnarSketchStore:
                 store._row_ids, np.arange(store._row_ids.size, dtype=np.int64)
             )
         )
+        store._ids_ascending = bool(np.all(store._row_ids[1:] > store._row_ids[:-1]))
         return store
 
     # -------------------------------------------------------- introspection
@@ -817,6 +822,30 @@ class ColumnarSketchStore:
         alive = None if self._num_dead == 0 else ~self._tombstones
         return row_ids, alive
 
+    @property
+    def ids_ascending(self) -> bool:
+        """Whether record ids increase with the physical row.
+
+        True until an :meth:`update` moves an id to a new last row;
+        compaction and snapshot loads re-derive it from the rows.
+        """
+        return self._ids_ascending
+
+    def smallest_live_ids(self, count: int) -> np.ndarray:
+        """The ``count`` smallest live record ids, ascending (all, when fewer live).
+
+        A prefix scan of the id→row map that doubles its prefix until it
+        holds enough live ids, so a store whose small ids are alive reads
+        about ``count`` entries.
+        """
+        id_rows = self._id_rows[: self._next_id]
+        stop = count
+        while True:
+            live = np.flatnonzero(id_rows[:stop] >= 0)
+            if live.size >= count or stop >= id_rows.size:
+                return live[:count]
+            stop *= 2
+
     def live_record_ids(self) -> np.ndarray:
         """Record ids of every live row, in physical-row order."""
         self._absorb_tail()
@@ -900,37 +929,36 @@ class ColumnarSketchStore:
 
     # ------------------------------------------------- fused workload kernels
     def match_workload(
-        self, queries_values: Sequence[np.ndarray]
+        self, values: np.ndarray, offsets: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sparse intersection counts of a whole workload, in one fused pass.
 
-        Every query's sorted values are concatenated into one run and
-        resolved against the value→record join index with a single pair
-        of ``searchsorted`` calls.  Returns ``(query_ids, rows, counts)``
-        for exactly the (query, physical row) pairs that share a stored
-        value, sorted by query then row: one ``np.unique`` over packed
-        ``query * num_rows + row`` keys groups the occurrences.  Cost is
-        ``O(matches)``; nothing dense is touched, which is what lets the
-        engine score only value-sharing pairs with the estimator.
+        ``values`` holds every query's sorted values, query after query —
+        query ``i``'s are ``values[offsets[i]:offsets[i + 1]]`` (a CSR
+        column) — and the run is resolved against the value→record join
+        index with a single pair of ``searchsorted`` calls.  Returns
+        ``(query_ids, rows, counts)`` for exactly the (query, physical
+        row) pairs that share a stored value, sorted by query then row:
+        one ``np.unique`` over packed ``query * num_rows + row`` keys
+        groups the occurrences.  Cost is ``O(matches)``; nothing dense is
+        touched, which is what lets the engine score only value-sharing
+        pairs with the estimator.
         Tombstoned rows are counted like any other.
         """
         self.finalize()
         assert self._sorted_values is not None and self._sorted_rows is not None
         join_values = self._sorted_values
         empty = np.empty(0, dtype=np.int64)
-        if not len(queries_values) or join_values.size == 0:
+        if join_values.size == 0:
             return empty, empty, empty
-        arrays = [np.asarray(values, dtype=np.float64) for values in queries_values]
-        all_values = np.concatenate(arrays)
-        starts = np.searchsorted(join_values, all_values, side="left")
-        stops = np.searchsorted(join_values, all_values, side="right")
+        values = np.asarray(values, dtype=np.float64)
+        starts = np.searchsorted(join_values, values, side="left")
+        stops = np.searchsorted(join_values, values, side="right")
         positions = _gather_ranges(starts, stops)
         if not positions.size:  # no match (common for one query): skip unique
             return empty, empty, empty
-        lengths = np.fromiter(
-            (values.size for values in arrays), dtype=np.int64, count=len(arrays)
-        )
-        value_queries = np.repeat(np.arange(len(arrays), dtype=np.int64), lengths)
+        lengths = np.diff(np.asarray(offsets, dtype=np.int64))
+        value_queries = np.repeat(np.arange(lengths.size, dtype=np.int64), lengths)
         query_ids = np.repeat(value_queries, stops - starts)
         num_rows = self.num_rows
         pairs, counts = np.unique(

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.index as index_module
-from repro.core import GBKMVIndex
+from repro.baselines import GKMVSearchIndex
+from repro.core import DEFAULT_ROW_BLOCK_SIZE, GBKMVIndex
 from repro.core.sorting import PACKED_SORT_MIN_SIZE, stable_lexsort
 from repro.exact import BruteForceSearcher, containment_similarity
 
@@ -202,3 +203,141 @@ class TestEngineMatchesScalarOracle:
             got = index.top_k_many(queries, k)
             assert sort_sizes[0] >= PACKED_SORT_MIN_SIZE  # the first _merge_top
             assert [_pairs(hits) for hits in got] == [ranking[:k] for ranking in expected]
+
+
+#: Records of the stopping-rule stores: more than three default sweep blocks.
+STOP_RULE_RECORDS = 3 * DEFAULT_ROW_BLOCK_SIZE + 400
+#: The smallest ids, tombstoned so that filling a list skips them.
+STOP_RULE_DELETED = 150
+
+
+def _stop_rule_records(seed):
+    """Sparse power-law records: a few hot elements, most of them rare."""
+    rng = np.random.default_rng(seed)
+    sizes = rng.integers(4, 16, STOP_RULE_RECORDS)
+    elements = np.floor(40_000 * rng.random(int(sizes.sum())) ** 2.5).astype(np.int64)
+    return [set(chunk.tolist()) for chunk in np.split(elements, np.cumsum(sizes)[:-1])]
+
+
+def _oracle_rankings(index, queries):
+    """``_oracle_search(index, query, 0.0)`` of every query, each record sketched once."""
+    sketches = [
+        (record_id, index.sketch(record_id))
+        for record_id in index.store.live_record_ids().tolist()
+    ]
+    rankings = []
+    for query in queries:
+        query_sketch = index.query_sketch(query)
+        size = len(set(query))
+        ranking = [
+            (record_id, query_sketch.intersection_size_estimate(sketch) / size)
+            for record_id, sketch in sketches
+        ]
+        ranking.sort(key=lambda pair: (-pair[1], pair[0]))
+        rankings.append(ranking)
+    return rankings
+
+
+def _stop_rule_index(backend, history):
+    """A gbkmv or gkmv index over the stopping-rule records after ``history``.
+
+    ``"built"`` is never updated; ``"deleted"`` tombstones the smallest ids
+    and compacts, so ids still ascend along the rows but are not the rows;
+    ``"updated"`` also updates records, whose ids move to the last rows,
+    then compacts once.
+    """
+    records = _stop_rule_records(7)
+    cls = GKMVSearchIndex if backend == "gkmv" else GBKMVIndex
+    settings = {} if backend == "gkmv" else {"buffer_size": 24}
+    index = cls.build(records, space_fraction=0.2, **settings)
+    if history == "built":
+        return index, records
+    for record_id in range(STOP_RULE_DELETED):
+        index.delete(record_id)
+    for record_id in range(STOP_RULE_DELETED, STOP_RULE_RECORDS, 997):
+        index.delete(record_id)
+    if history == "updated":
+        for record_id in (STOP_RULE_DELETED + 1, 4_321, 9_876):
+            index.update(record_id, records[record_id + 1] | {7, 11})
+    index.store.compact_tombstones()
+    assert index.store.ids_ascending == (history != "updated")
+    return index, records
+
+
+def _stop_rule_queries(index, records):
+    """Zero-bound queries (no buffer element) and mixed ones, of equal count."""
+    vocabulary = set(index.vocabulary.elements)
+    picks = (STOP_RULE_DELETED + 3, 777, 5_000, 12_001)
+    zero = [
+        {element for element in records[position] if element not in vocabulary}
+        | {1_000_000 + position}
+        for position in picks
+    ]
+    # A query of unseen elements only shares nothing with any record.
+    zero.append({2_000_000, 2_000_001, 2_000_002})
+    mixed = list(zero[:2])
+    if vocabulary:
+        hot = index.vocabulary.elements[0]
+        mixed += [records[picks[2]] | {hot}, set(index.vocabulary.elements[:3]), records[picks[3]]]
+    return zero, mixed
+
+
+class TestTopKStoppingRule:
+    """``top_k_many`` over several sweep blocks equals the oracle ranking.
+
+    A query whose bound ``|H_Q| / |Q|`` is 0 is completed with the smallest
+    live ids it does not hold and never swept; the sweep stops once no
+    bound can enter a list, when ids ascend along the rows.
+    """
+
+    @pytest.mark.parametrize("history", ["built", "deleted", "updated"])
+    @pytest.mark.parametrize("backend", ["gbkmv", "gkmv"])
+    def test_top_k_many_matches_oracle(self, backend, history):
+        index, records = _stop_rule_index(backend, history)
+        assert index.store.num_rows > 3 * DEFAULT_ROW_BLOCK_SIZE
+        zero, mixed = _stop_rule_queries(index, records)
+        for queries in (zero, mixed):
+            rankings = _oracle_rankings(index, queries)
+            index.search_many(queries, 0.0)
+            beyond_pairs = index.last_workload_stats.estimator_pairs + 5
+            for k in (1, 10, beyond_pairs):
+                expected = [ranking[:k] for ranking in rankings]
+                for block in (None, 1_000):
+                    got = index.top_k_many(queries, k, row_block_size=block)
+                    assert [_pairs(hits) for hits in got] == expected
+                assert [_pairs(index.top_k(query, k)) for query in queries] == expected
+            if queries is zero:
+                stats = index.last_workload_stats
+                assert (stats.swept_queries, stats.num_blocks) == (0, 0)
+        # Filling a list skipped the tombstoned smallest ids.
+        if history != "built":
+            first = index.top_k(zero[-1], 3)
+            assert [hit.record_id for hit in first] == index.store.smallest_live_ids(3).tolist()
+            assert first[0].record_id >= STOP_RULE_DELETED
+
+    @pytest.mark.parametrize("backend", ["gbkmv", "gkmv"])
+    def test_zero_bound_workload_is_never_swept(self, backend):
+        index, records = _stop_rule_index(backend, "built")
+        zero, _mixed = _stop_rule_queries(index, records)
+        hits = index.top_k_many(zero, 10)
+        stats = index.last_workload_stats
+        assert (stats.swept_queries, stats.num_blocks, stats.peak_block_cells) == (0, 0, 0)
+        assert stats.hit_pairs == sum(len(h) for h in hits) == 10 * len(zero)
+
+    def test_sweep_stops_at_its_bound(self):
+        # Every query holds the hottest buffer element, which many records of
+        # the first block share: their lists settle there, and the ids of
+        # the later blocks are all larger.
+        index, records = _stop_rule_index("gbkmv", "built")
+        vocabulary = set(index.vocabulary.elements)
+        hot = index.vocabulary.elements[0]
+        queries = [
+            {element for element in records[position] if element not in vocabulary} | {hot}
+            for position in (5, 6_000, 12_000)
+        ]
+        got = index.top_k_many(queries, 10)
+        stats = index.last_workload_stats
+        assert stats.swept_queries == len(queries)
+        assert 0 < stats.num_blocks < -(-stats.num_rows // DEFAULT_ROW_BLOCK_SIZE)
+        expected = [ranking[:10] for ranking in _oracle_rankings(index, queries)]
+        assert [_pairs(hits) for hits in got] == expected

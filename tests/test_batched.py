@@ -176,10 +176,12 @@ class TestKMVBatchEstimator:
         if row_hi is None:
             row_hi = store.num_rows
         values = [np.asarray(sketch.values) for sketch in query_sketches]
-        query_idx, rows, counts = store.match_workload(values)
+        lengths = np.array([row.size for row in values], dtype=np.int64)
+        query_idx, rows, counts = store.match_workload(
+            np.concatenate(values), np.concatenate([[0], np.cumsum(lengths)])
+        )
         mine = (rows >= row_lo) & (rows < row_hi)
         query_idx, rows, counts = query_idx[mine], rows[mine], counts[mine]
-        lengths = np.array([row.size for row in values], dtype=np.int64)
         starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
         exact = np.array([sketch.is_exact for sketch in query_sketches])
         offsets = store.offsets

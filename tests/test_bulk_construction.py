@@ -627,7 +627,7 @@ class TestSliceFlatRecords:
             threshold=params.threshold,
             hasher=params.hasher,
             budget=params.budget,
-            lookup=params.lookup,
+            in_vocabulary=params.in_vocabulary,
             unique_hashes=params.unique_hashes,
         )
         reference = GBKMVIndex.from_parameters(

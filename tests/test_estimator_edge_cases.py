@@ -122,7 +122,7 @@ class TestEmptyRecords:
         )
         query = KMVSketch.from_record(["x", "y"], k=4, hasher=hasher)
         values = np.asarray(query.values)
-        query_idx, rows, counts = store.match_workload([values])
+        query_idx, rows, counts = store.match_workload(values, [0, values.size])
         assert query_idx.size == rows.size == counts.size == 0
         empty = np.empty(0, dtype=np.int64)
         estimates = kmv_intersection_estimates(

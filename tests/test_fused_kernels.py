@@ -15,11 +15,12 @@ import numpy as np
 import pytest
 
 from repro._errors import ConfigurationError
-from repro.baselines import KMVSearchIndex
-from repro.core import DEFAULT_ROW_BLOCK_SIZE, GBKMVIndex
-from repro.core.index import SWEEP_BLOCK_CELLS
+from repro.baselines import GKMVSearchIndex, KMVSearchIndex
+from repro.core import DEFAULT_ROW_BLOCK_SIZE, FrequentElementVocabulary, GBKMVIndex
+from repro.core.index import SWEEP_BLOCK_CELLS, SketchStoreIndex
 from repro.core.store import ColumnarSketchStore
 from repro.datasets import sample_queries
+from repro.hashing import UnitHash
 
 
 def _as_pairs(results):
@@ -29,9 +30,15 @@ def _as_pairs(results):
 def _dense_counts(store, queries):
     """``match_workload``'s sparse counts scattered into a ``(B, num_rows)`` matrix."""
     dense = np.zeros((len(queries), store.num_rows), dtype=np.int64)
-    query_ids, rows, counts = store.match_workload(queries)
+    query_ids, rows, counts = _match(store, queries)
     dense[query_ids, rows] = counts
     return dense
+
+
+def _match(store, queries):
+    """``match_workload`` over a list of per-query value arrays."""
+    values = np.concatenate([np.empty(0), *queries])
+    return store.match_workload(values, np.cumsum([0, *map(len, queries)]))
 
 
 def _per_query_counts(store, queries):
@@ -111,7 +118,7 @@ class TestStoreFusedKernels:
         for name in ("plain", "duplicates_across_queries"):
             queries = [np.asarray(q, dtype=np.float64) for q in self.WORKLOADS[name]]
             dense = _per_query_counts(small_store, queries)
-            query_ids, rows, counts = small_store.match_workload(queries)
+            query_ids, rows, counts = _match(small_store, queries)
             expected_queries, expected_rows = np.nonzero(dense)
             assert query_ids.tolist() == expected_queries.tolist()
             assert rows.tolist() == expected_rows.tolist()
@@ -166,7 +173,7 @@ class TestStoreFusedKernels:
 
     def test_match_workload_on_empty_store(self):
         store = _store_with_rows([], signature_bits=4)
-        assert all(part.size == 0 for part in store.match_workload([np.array([0.25])]))
+        assert all(part.size == 0 for part in _match(store, [np.array([0.25])]))
 
 
 @pytest.fixture(scope="module")
@@ -383,3 +390,122 @@ class TestKMVFusedPath:
         looped = [index.search(query, 0.3) for query in queries]
         fused = index.search_many(queries, 0.3, row_block_size=16)
         assert _as_pairs(fused) == _as_pairs(looped)
+
+
+def _typed_records():
+    """Records of integers, of strings, and of both, with hot elements of each."""
+    rng = np.random.default_rng(11)
+    records = []
+    for position in range(600):
+        ints = np.floor(900 * rng.random(rng.integers(3, 12)) ** 2.0).astype(int).tolist()
+        words = [f"w{int(x)}" for x in np.floor(300 * rng.random(rng.integers(2, 8)) ** 2.0)]
+        records.append([ints, words, ints + words][position % 3])
+    return records
+
+
+def _typed_index(backend):
+    records = _typed_records()
+    if backend == "gbkmv":
+        return GBKMVIndex.build(records, space_fraction=0.3, buffer_size=12), records
+    if backend == "gkmv":
+        return GKMVSearchIndex.build(records, space_fraction=0.3), records
+    return KMVSearchIndex.build(records, space_fraction=0.3), records
+
+
+def _typed_queries(index, records):
+    """One query of every shape a workload may mix."""
+    hot = list(index.vocabulary.elements[:4]) if hasattr(index, "vocabulary") else []
+    return [
+        np.array(records[0], dtype=np.int64),  # integer ndarray
+        list(records[3]),  # integers, as a list
+        list(records[1]),  # strings
+        list(records[2]) + ["w1", 3],  # mixed types
+        [records[5][0]] * 3 + records[5] + records[5][:2],  # repeated elements
+        hot or [0, 1, "w0"],  # buffer elements only (gbkmv)
+        [10**9, 10**9 + 1, "never-seen"],  # unseen elements only
+        tuple(records[8]),
+        set(records[11]),
+    ]
+
+
+@pytest.fixture(params=["gbkmv", "gkmv", "kmv"])
+def typed_setup(request):
+    index, records = _typed_index(request.param)
+    return index, _typed_queries(index, records)
+
+
+class TestBulkPreparation:
+    """A workload is sketched in bulk, a single query record by record, and
+    the two give the same answers."""
+
+    def test_workload_equals_queries_alone(self, typed_setup, monkeypatch):
+        index, queries = typed_setup
+        sketched_alone = []
+        sketch_each = SketchStoreIndex._sketch_each
+
+        def recording(self, each):
+            sketched_alone.append(len(each))
+            return sketch_each(self, each)
+
+        monkeypatch.setattr(SketchStoreIndex, "_sketch_each", recording)
+        explicit = [2 * len(set(query)) + 1 for query in queries]
+        for sizes in (None, explicit):
+            alone_sizes = [None] * len(queries) if sizes is None else sizes
+            for threshold in (0.0, 0.3):
+                alone = [
+                    index.search(query, threshold, query_size=size)
+                    for query, size in zip(queries, alone_sizes)
+                ]
+                fused = index.search_many(queries, threshold, query_sizes=sizes)
+                assert _as_pairs(fused) == _as_pairs(alone)
+            for k in (1, 5):
+                alone = [
+                    index.top_k(query, k, query_size=size)
+                    for query, size in zip(queries, alone_sizes)
+                ]
+                fused = index.top_k_many(queries, k, query_sizes=sizes)
+                assert _as_pairs(fused) == _as_pairs(alone)
+        # Only the one-query calls were sketched one query at a time.
+        assert sketched_alone == [1] * (8 * len(queries))
+
+    @pytest.mark.parametrize(
+        "bad, size",
+        [([], None), ([1, 2.5], None), (np.array([1.5, 2.5]), None), ([1, 2], 0)],
+        ids=["empty", "float-element", "float-array", "query-size-0"],
+    )
+    def test_malformed_query_raises_its_own_error(self, typed_setup, bad, size):
+        index, queries = typed_setup
+        workload = queries[:2] + [bad] + queries[2:4]
+        sizes = None if size is None else [3, 3, size, 3, 3]
+        for run_alone, run_fused in (
+            (
+                lambda: index.search(bad, 0.5, query_size=size),
+                lambda: index.search_many(workload, 0.5, query_sizes=sizes),
+            ),
+            (
+                lambda: index.top_k(bad, 3, query_size=size),
+                lambda: index.top_k_many(workload, 3, query_sizes=sizes),
+            ),
+        ):
+            with pytest.raises(ConfigurationError) as alone:
+                run_alone()
+            with pytest.raises(ConfigurationError) as fused:
+                run_fused()
+            assert type(fused.value) is type(alone.value)
+            assert str(fused.value) == str(alone.value)
+
+    def test_colliding_vocabulary_sketches_queries_one_by_one(self):
+        # "a" and b"a" share a fingerprint: the bulk kernel cannot split a
+        # batch over this vocabulary, so a workload falls back to the
+        # per-record split that a single query takes.
+        vocabulary = FrequentElementVocabulary(["a", b"a"])
+        records = [["a", "x", "y"], [b"a", "x"], ["a", b"a", "z"], ["x", "y", "z"]]
+        index = GBKMVIndex.from_parameters(
+            records, vocabulary=vocabulary, threshold=0.9, hasher=UnitHash(seed=0), budget=10.0
+        )
+        queries = [["a", "x"], [b"a", "z"], ["y"]]
+        for threshold in (0.0, 0.5):
+            alone = [index.search(query, threshold) for query in queries]
+            assert _as_pairs(index.search_many(queries, threshold)) == _as_pairs(alone)
+        alone = [index.top_k(query, 2) for query in queries]
+        assert _as_pairs(index.top_k_many(queries, 2)) == _as_pairs(alone)

@@ -20,7 +20,9 @@ def _join_counts(store, query):
     Checks the fused kernel's sparse form on the way: one query, rows
     strictly ascending, every count positive.
     """
-    query_ids, rows, counts = store.match_workload([np.asarray(query, dtype=np.float64)])
+    query_ids, rows, counts = store.match_workload(
+        np.asarray(query, dtype=np.float64), [0, len(query)]
+    )
     assert not query_ids.any()
     assert np.all(rows[1:] > rows[:-1])
     assert np.all(counts > 0)
