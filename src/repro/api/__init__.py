@@ -35,8 +35,8 @@ The pieces:
     Restores any saved index from its self-describing snapshot.
 
 The historical entry points (``repro.GBKMVIndex.build(...)`` and
-friends) keep working — the native classes *are* the registered
-backends — but new code should come in through this module.  A curated
+friends) keep working — every search class *is* its registered
+backend — but new code should come in through this module.  A curated
 set of dataset and evaluation helpers is re-exported so typical
 programs need no other import.
 """

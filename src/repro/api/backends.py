@@ -1,12 +1,9 @@
-"""Built-in backend registrations and adapter classes.
+"""Built-in backend registrations.
 
-The GB-KMV index and the KMV/G-KMV baselines implement
-:class:`~repro.api.interface.SimilarityIndex` natively; this module
-registers them and supplies the adapters that bring the remaining
-searchers — LSH Ensemble, asymmetric MinHash and the exact methods —
-onto the same surface.  The adapters add nothing algorithmic: they
-delegate to the wrapped index and inherit the generic loop fallbacks
-(``search_many``, ``top_k``) and capability errors from the base class.
+Every search method of the library — GB-KMV, the KMV/G-KMV, LSH
+Ensemble and asymmetric-MinHash baselines, the exact searchers and the
+sharded fan-out — is its own :class:`~repro.api.interface.SimilarityIndex`
+subclass; this module registers each under its ``backend_id``.
 
 Imported lazily by :mod:`repro.api.registry` on first registry use, so
 the :mod:`repro.api` package itself stays importable from inside the
@@ -15,198 +12,25 @@ core modules it describes.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
-
-from repro.api.config import (
-    AsymmetricMinHashConfig,
-    ExactSearchConfig,
-    LSHEnsembleConfig,
-)
-from repro.api.interface import Capabilities, SimilarityIndex
 from repro.api.registry import register_backend
-from repro.api.results import SearchResult
-from repro.baselines.asymmetric_minhash import AMH_BACKEND_ID, AsymmetricMinHashIndex
+from repro.baselines.asymmetric_minhash import AsymmetricMinHashIndex
 from repro.baselines.kmv_search import GKMVSearchIndex, KMVSearchIndex
-from repro.baselines.lsh_ensemble import LSHE_BACKEND_ID, LSHEnsembleIndex
+from repro.baselines.lsh_ensemble import LSHEnsembleIndex
 from repro.core.index import GBKMVIndex
 from repro.exact.brute_force import BruteForceSearcher
 from repro.exact.frequent_set import FrequentSetSearcher
 from repro.exact.ppjoin import PPJoinSearcher
 from repro.sharding.backend import ShardedIndex
 
-
-class _AdapterBackend(SimilarityIndex):
-    """Delegation glue shared by every wrapped (non-native) backend."""
-
-    def __init__(self, inner) -> None:
-        self._inner = inner
-
-    @property
-    def inner(self):
-        """The wrapped historical index, for callers needing its full API."""
-        return self._inner
-
-    @property
-    def num_records(self) -> int:
-        return int(self._inner.num_records)
-
-    def search(
-        self,
-        query: Iterable[object],
-        threshold: float,
-        query_size: int | None = None,
-    ) -> list[SearchResult]:
-        return self._inner.search(query, threshold, query_size=query_size)
-
-    def space_in_values(self) -> float:
-        return float(getattr(self._inner, "space_in_values", lambda: 0.0)())
-
-    def space_fraction(self) -> float:
-        return float(getattr(self._inner, "space_fraction", lambda: 0.0)())
-
-
-class LSHEnsembleBackend(_AdapterBackend):
-    """LSH Ensemble on the uniform surface.
-
-    Static and persistent.  The class-level ``scored`` capability is
-    false because the original LSH-E returns unscored candidate sets;
-    an instance built with ``LSHEnsembleConfig(verify=True)`` filters
-    candidates through the Equation-15 estimator, produces meaningful
-    scores, and reports ``scored=True`` — the verification mode is part
-    of the wrapped index and survives save/load.
-    """
-
-    backend_id = LSHE_BACKEND_ID
-    config_type = LSHEnsembleConfig
-    capabilities = Capabilities(
-        dynamic=False, batched=False, persistent=True, exact=False, scored=False
-    )
-
-    def __init__(self, inner: LSHEnsembleIndex) -> None:
-        super().__init__(inner)
-        if inner.verify_default:
-            # Instance attribute shadows the ClassVar: verified ensembles
-            # score their hits, so top-k is supported on them.
-            self.capabilities = Capabilities(
-                dynamic=False,
-                batched=False,
-                persistent=True,
-                exact=False,
-                scored=True,
-            )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Iterable[object]],
-        config: LSHEnsembleConfig | None = None,
-    ) -> "LSHEnsembleBackend":
-        config = cls.resolve_config(config)
-        return cls(
-            LSHEnsembleIndex.build(
-                records,
-                num_perm=config.num_perm,
-                num_partitions=config.num_partitions,
-                seed=config.seed,
-                false_positive_weight=config.false_positive_weight,
-                false_negative_weight=config.false_negative_weight,
-                verify=config.verify,
-            )
-        )
-
-    def save(self, path) -> None:
-        self._inner.save(path)
-
-    @classmethod
-    def load(cls, path) -> "LSHEnsembleBackend":
-        return cls(LSHEnsembleIndex.load(path))
-
-
-class AsymmetricMinHashBackend(_AdapterBackend):
-    """Asymmetric minwise hashing on the uniform surface.
-
-    Static and persistent; unscored (LSH candidate sets with placeholder
-    scores).
-    """
-
-    backend_id = AMH_BACKEND_ID
-    config_type = AsymmetricMinHashConfig
-    capabilities = Capabilities(
-        dynamic=False, batched=False, persistent=True, exact=False, scored=False
-    )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Iterable[object]],
-        config: AsymmetricMinHashConfig | None = None,
-    ) -> "AsymmetricMinHashBackend":
-        config = cls.resolve_config(config)
-        return cls(
-            AsymmetricMinHashIndex.build(
-                records, num_perm=config.num_perm, seed=config.seed
-            )
-        )
-
-    def save(self, path) -> None:
-        self._inner.save(path)
-
-    @classmethod
-    def load(cls, path) -> "AsymmetricMinHashBackend":
-        return cls(AsymmetricMinHashIndex.load(path))
-
-
-class _ExactBackend(_AdapterBackend):
-    """Shared shape of the exact searchers: static, in-memory, exact."""
-
-    #: The wrapped searcher class; set by each concrete adapter.
-    searcher_type: type = object
-
-    config_type = ExactSearchConfig
-    capabilities = Capabilities(
-        dynamic=False, batched=False, persistent=False, exact=True, scored=True
-    )
-
-    @classmethod
-    def from_records(
-        cls,
-        records: Sequence[Iterable[object]],
-        config: ExactSearchConfig | None = None,
-    ) -> "_ExactBackend":
-        cls.resolve_config(config)
-        return cls(cls.searcher_type(records))
-
-
-class BruteForceBackend(_ExactBackend):
-    """Exhaustive-scan exact containment search on the uniform surface."""
-
-    backend_id = "brute-force"
-    searcher_type = BruteForceSearcher
-
-
-class FrequentSetBackend(_ExactBackend):
-    """Inverted-index (ScanCount) exact search on the uniform surface."""
-
-    backend_id = "frequent-set"
-    searcher_type = FrequentSetSearcher
-
-
-class PPJoinBackend(_ExactBackend):
-    """Prefix-filter (PPjoin*-style) exact search on the uniform surface."""
-
-    backend_id = "ppjoin"
-    searcher_type = PPJoinSearcher
-
-
 for _backend in (
     GBKMVIndex,
     KMVSearchIndex,
     GKMVSearchIndex,
-    LSHEnsembleBackend,
-    AsymmetricMinHashBackend,
-    BruteForceBackend,
-    FrequentSetBackend,
-    PPJoinBackend,
+    LSHEnsembleIndex,
+    AsymmetricMinHashIndex,
+    BruteForceSearcher,
+    FrequentSetSearcher,
+    PPJoinSearcher,
     ShardedIndex,
 ):
     register_backend(_backend)

@@ -1,10 +1,10 @@
 """The unified similarity-search index protocol.
 
 :class:`SimilarityIndex` is the one abstract interface every search
-backend in the library implements — the GB-KMV index and the KMV/G-KMV
-baselines natively, LSH Ensemble / asymmetric MinHash / the exact
-searchers through the adapters in :mod:`repro.api.backends`.  The full
-surface is available on every backend: where no specialised kernel
+backend in the library subclasses — the GB-KMV index, the KMV/G-KMV,
+LSH Ensemble and asymmetric-MinHash baselines, the exact searchers and
+the sharded fan-out, each registered by :mod:`repro.api.backends`.  The
+full surface is available on every backend: where no specialised kernel
 exists the base class supplies generic fallbacks (``search_many`` and
 ``insert_many`` loop over their singular forms, ``top_k`` ranks a
 threshold-0 search), and where an operation is genuinely unsupported it

@@ -55,8 +55,8 @@ def _ensure_builtin_backends() -> None:
     """Import (and thereby register) the built-in backends, once.
 
     Deferred so that :mod:`repro.api` stays importable from inside
-    :mod:`repro.core` — the native backends import the interface at
-    module load, and resolve the registry only at first use.
+    :mod:`repro.core` — the backends import the interface at module
+    load, and resolve the registry only at first use.
     """
     global _builtin_loaded
     if not _builtin_loaded:

@@ -1,8 +1,8 @@
 """The result type shared by every search backend.
 
 Lives in :mod:`repro.api` because it is part of the public index
-protocol: every :class:`~repro.api.SimilarityIndex` backend — native or
-adapted — returns its hits as :class:`SearchResult` tuples.
+protocol: every :class:`~repro.api.SimilarityIndex` backend returns its
+hits as :class:`SearchResult` tuples.
 :mod:`repro.core.index` re-exports it, so historical imports keep
 working.
 """

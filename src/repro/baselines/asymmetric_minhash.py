@@ -17,9 +17,12 @@ and GB-KMV improve on, and the ablation benchmark exercises exactly that.
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Iterable, Sequence
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api.config import AsymmetricMinHashConfig
+from repro.api.interface import Capabilities, SimilarityIndex
 from repro.baselines._signature_snapshot import (
     load_signature_snapshot,
     save_signature_snapshot,
@@ -28,9 +31,6 @@ from repro.core.index import SearchResult
 from repro.hashing import HashFamily
 from repro.minhash.lsh import MinHashLSH, optimal_lsh_params
 from repro.minhash.signature import MinHashSignature
-
-#: Registry id the :mod:`repro.api` adapter exposes this index under.
-AMH_BACKEND_ID = "asymmetric-minhash"
 
 #: Version tag written into asymmetric-MinHash snapshots.
 AMH_SNAPSHOT_VERSION = 1
@@ -49,8 +49,18 @@ def padded_jaccard_threshold(
     return float(min(max(overlap / denominator, 0.0), 1.0))
 
 
-class AsymmetricMinHashIndex:
-    """Asymmetric minwise hashing index for containment similarity search."""
+class AsymmetricMinHashIndex(SimilarityIndex):
+    """Asymmetric minwise hashing index for containment similarity search.
+
+    Static and persistent; unscored (LSH candidate sets with placeholder
+    scores).
+    """
+
+    backend_id = "asymmetric-minhash"
+    config_type = AsymmetricMinHashConfig
+    capabilities = Capabilities(
+        dynamic=False, batched=False, persistent=True, exact=False, scored=False
+    )
 
     def __init__(
         self,
@@ -85,6 +95,16 @@ class AsymmetricMinHashIndex:
         index = cls(num_perm=num_perm, seed=seed)
         index._index_records(records)
         return index
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[Iterable[object]],
+        config: AsymmetricMinHashConfig | None = None,
+    ) -> "AsymmetricMinHashIndex":
+        """:mod:`repro.api` entry point: :meth:`build` under a typed config."""
+        config = cls.resolve_config(config)
+        return cls.build(records, **dataclasses.asdict(config))
 
     def _pad(self, record: set, record_id: int) -> set:
         """Pad a record with record-specific dummy elements up to the max size."""
@@ -129,7 +149,7 @@ class AsymmetricMinHashIndex:
         """
         save_signature_snapshot(
             path,
-            backend_id=AMH_BACKEND_ID,
+            backend_id=self.backend_id,
             meta_key="amh_meta",
             version=AMH_SNAPSHOT_VERSION,
             meta={
@@ -189,9 +209,6 @@ class AsymmetricMinHashIndex:
     def max_record_size(self) -> int:
         """Size every record was padded up to."""
         return self._max_record_size
-
-    def __len__(self) -> int:
-        return self.num_records
 
     def space_in_values(self) -> float:
         """Space used by the signatures, in signature-value units."""

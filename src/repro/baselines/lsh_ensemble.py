@@ -21,6 +21,7 @@ Equation 15 is provided for the ablation benchmarks.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -28,6 +29,8 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api.config import LSHEnsembleConfig
+from repro.api.interface import Capabilities, SimilarityIndex
 from repro.baselines._signature_snapshot import (
     load_signature_snapshot,
     save_signature_snapshot,
@@ -37,9 +40,6 @@ from repro.core.sorting import stable_argsort
 from repro.hashing import HashFamily
 from repro.minhash.lsh import MinHashLSH, optimal_lsh_params
 from repro.minhash.signature import MinHashSignature
-
-#: Registry id the :mod:`repro.api` adapter exposes this index under.
-LSHE_BACKEND_ID = "lsh-ensemble"
 
 #: Version tag written into LSH Ensemble snapshots.
 LSHE_SNAPSHOT_VERSION = 1
@@ -74,12 +74,24 @@ class _Partition:
     tables: dict[int, MinHashLSH]  # rows_per_band -> table over the partition
 
 
-class LSHEnsembleIndex:
+class LSHEnsembleIndex(SimilarityIndex):
     """LSH Ensemble index for approximate containment similarity search.
 
     Parameters are the defaults used in the paper's evaluation: 256 hash
     functions per signature and 32 equal-depth partitions.
+
+    Static and persistent.  The class-level ``scored`` capability is
+    false because the original LSH-E returns unscored candidate sets; an
+    ensemble built with ``verify=True`` filters candidates through the
+    Equation-15 estimator, scores its hits and reports ``scored=True``
+    (the verification mode survives save/load).
     """
+
+    backend_id = "lsh-ensemble"
+    config_type = LSHEnsembleConfig
+    capabilities = Capabilities(
+        dynamic=False, batched=False, persistent=True, exact=False, scored=False
+    )
 
     def __init__(
         self,
@@ -101,6 +113,10 @@ class LSHEnsembleIndex:
         self._fn_weight = float(false_negative_weight)
         #: Default verification mode of :meth:`search` (persisted by save).
         self._verify_default = bool(verify)
+        if self._verify_default:
+            # Shadows the class-level descriptor: verified ensembles score
+            # their hits, so top-k is supported on them.
+            self.capabilities = dataclasses.replace(self.capabilities, scored=True)
         self._signatures: list[MinHashSignature] = []
         self._record_sizes: list[int] = []
         self._partitions: list[_Partition] = []
@@ -136,6 +152,16 @@ class LSHEnsembleIndex:
         )
         index._index_records(records)
         return index
+
+    @classmethod
+    def from_records(
+        cls,
+        records: Sequence[Iterable[object]],
+        config: LSHEnsembleConfig | None = None,
+    ) -> "LSHEnsembleIndex":
+        """:mod:`repro.api` entry point: :meth:`build` under a typed config."""
+        config = cls.resolve_config(config)
+        return cls.build(records, **dataclasses.asdict(config))
 
     def _index_records(self, records: Sequence[Iterable[object]]) -> None:
         start = time.perf_counter()
@@ -196,7 +222,7 @@ class LSHEnsembleIndex:
         """
         save_signature_snapshot(
             path,
-            backend_id=LSHE_BACKEND_ID,
+            backend_id=self.backend_id,
             meta_key="lshe_meta",
             version=LSHE_SNAPSHOT_VERSION,
             meta={
@@ -280,9 +306,6 @@ class LSHEnsembleIndex:
     def verify_default(self) -> bool:
         """Whether :meth:`search` verifies candidates by default."""
         return self._verify_default
-
-    def __len__(self) -> int:
-        return self.num_records
 
     def space_in_values(self) -> float:
         """Space used by the signatures, in signature-value units."""

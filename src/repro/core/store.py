@@ -722,11 +722,6 @@ class ColumnarSketchStore:
         return self._num_words
 
     @property
-    def compact_ratio(self) -> float:
-        """Tombstoned-row fraction that triggers compaction at finalize."""
-        return self._compact_ratio
-
-    @property
     def num_rows(self) -> int:
         """Number of physical rows (tombstoned and staged rows included)."""
         return int(self._record_sizes.size) + len(self._pending_values)
@@ -859,13 +854,6 @@ class ColumnarSketchStore:
         if self._num_dead == 0:
             return self._record_sizes
         return self._record_sizes[~self._tombstones]
-
-    def live_values(self) -> np.ndarray:
-        """Concatenated residual values of live rows only."""
-        self._absorb_tail()
-        if self._num_dead == 0:
-            return self._values
-        return self._values[np.repeat(~self._tombstones, np.diff(self._offsets))]
 
     @property
     def row_max(self) -> np.ndarray:

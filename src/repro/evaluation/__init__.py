@@ -20,7 +20,6 @@ from repro.evaluation.harness import (
     evaluate_search_method,
     run_dynamic_experiment,
     run_experiment,
-    supports_operation,
     time_construction,
 )
 from repro.evaluation.reporting import format_table, series_to_rows
@@ -37,7 +36,6 @@ __all__ = [
     "evaluate_search_method",
     "run_dynamic_experiment",
     "run_experiment",
-    "supports_operation",
     "time_construction",
     "format_table",
     "series_to_rows",

@@ -20,10 +20,10 @@ accuracy against the per-instant exact ground truth plus separate
 mutation and query throughput.
 
 Every harness entry point drives searchers through the unified
-:class:`repro.api.SimilarityIndex` protocol: what a backend supports is
-read off its :class:`~repro.api.Capabilities` declaration (with a
-duck-typing fallback for plain objects that merely quack like a
-searcher), so there is no per-method special-casing anywhere below.
+:class:`repro.api.SimilarityIndex` protocol, which every search method
+of the library implements: what a backend supports is read off its
+:class:`~repro.api.Capabilities` declaration, so there is no per-method
+special-casing anywhere below.
 """
 
 from __future__ import annotations
@@ -36,31 +36,9 @@ import numpy as np
 
 from repro._errors import ConfigurationError
 from repro.api.interface import SimilarityIndex
+from repro.api.results import SearchResult
 from repro.evaluation.ground_truth import exact_result_sets
 from repro.evaluation.metrics import ConfusionCounts
-
-
-def supports_operation(searcher, operation: str) -> bool:
-    """Whether a searcher supports an operation of the unified protocol.
-
-    :class:`~repro.api.SimilarityIndex` backends answer from their
-    declared :class:`~repro.api.Capabilities` — ``search`` and
-    ``search_many`` are always available (the interface supplies generic
-    fallbacks), mutations require ``dynamic``, snapshots ``persistent``
-    and top-k ``scored``.  Anything else falls back to duck typing, so
-    the harness keeps accepting plain searcher objects that never
-    registered as backends.
-    """
-    if isinstance(searcher, SimilarityIndex):
-        capabilities = searcher.capabilities
-        if operation in ("insert", "insert_many", "delete", "update"):
-            return capabilities.dynamic
-        if operation in ("save", "load"):
-            return capabilities.persistent
-        if operation in ("top_k", "top_k_many"):
-            return capabilities.scored
-        return True
-    return callable(getattr(searcher, operation, None))
 
 
 @dataclass(frozen=True)
@@ -98,13 +76,9 @@ class MethodEvaluation:
     construction_seconds: float
 
 
-def _result_ids(hits: Iterable) -> set[int]:
-    """Normalise a searcher's output to a set of record ids."""
-    ids: set[int] = set()
-    for hit in hits:
-        record_id = getattr(hit, "record_id", hit)
-        ids.add(int(record_id))
-    return ids
+def _result_ids(hits: Iterable[SearchResult]) -> set[int]:
+    """The record ids of a searcher's hits."""
+    return {int(hit.record_id) for hit in hits}
 
 
 def measure_accuracy(
@@ -146,19 +120,16 @@ def evaluate_search_method(
 ) -> MethodEvaluation:
     """Run every query through a searcher and aggregate accuracy and timing.
 
-    Searchers supporting ``search_many`` (every
-    :class:`~repro.api.SimilarityIndex`, plus anything duck-typed with
-    the method) are driven through it — one engine call for the whole
-    workload — unless ``use_batched`` is false; everything else falls
-    back to the per-query loop.  The two paths return identical hits, so
+    The workload goes through ``search_many`` — one engine call for the
+    whole workload — unless ``use_batched`` is false, which loops
+    ``search`` instead.  The two paths return identical hits, so
     accuracy numbers are unaffected — only the measured query time
     changes.
     """
     if len(queries) != len(ground_truth):
         raise ConfigurationError("queries and ground_truth must have the same length")
-    batched = use_batched and supports_operation(searcher, "search_many")
     start = time.perf_counter()
-    if batched:
+    if use_batched:
         all_hits = searcher.search_many(queries, threshold)
     else:
         all_hits = [searcher.search(query, threshold) for query in queries]
@@ -166,14 +137,12 @@ def evaluate_search_method(
     answers = [_result_ids(hits) for hits in all_hits]
     accuracy = measure_accuracy(answers, ground_truth)
 
-    space_in_values = float(getattr(searcher, "space_in_values", lambda: 0.0)())
-    space_fraction = float(getattr(searcher, "space_fraction", lambda: 0.0)())
     return MethodEvaluation(
         method=method_name,
         accuracy=accuracy,
         avg_query_seconds=elapsed / max(len(queries), 1),
-        space_in_values=space_in_values,
-        space_fraction=space_fraction,
+        space_in_values=searcher.space_in_values(),
+        space_fraction=searcher.space_fraction(),
         construction_seconds=construction_seconds,
     )
 
@@ -220,18 +189,15 @@ def evaluate_dynamic_stream(
     inserts reach the searcher as ``insert_many`` bulk ingests.  This is
     the same coalescing path :class:`repro.serving.SimilarityService`
     serves live traffic through; stream semantics are unchanged, only
-    the measured mutation wall-clock drops.  Searchers without
-    ``insert_many`` replay per operation: the searcher itself is the
-    writer and the flush a no-op, in the same loop.
+    the measured mutation wall-clock drops.  A static searcher replays
+    per operation: the searcher itself is the writer and the flush a
+    no-op, in the same loop.
     """
     writer, flush = searcher, lambda: 0
-    if coalesce_writes and supports_operation(searcher, "insert_many"):
+    if coalesce_writes and searcher.capabilities.dynamic:
         from repro.serving.write_buffer import WriteCoalescer
 
-        next_id = getattr(searcher, "next_record_id", None)
-        if next_id is None:
-            next_id = len(workload.initial_records)
-        writer = WriteCoalescer(searcher, next_record_id=next_id)
+        writer = WriteCoalescer(searcher)
         flush = writer.flush
     answers: list[set[int]] = []
     truths: list[frozenset[int]] = []
@@ -298,8 +264,6 @@ def _assemble_dynamic_evaluation(
     accuracy = measure_accuracy(answers, truths)
     num_queries = len(answers)
     num_mutations = num_inserts + num_deletes
-    space_in_values = float(getattr(searcher, "space_in_values", lambda: 0.0)())
-    space_fraction = float(getattr(searcher, "space_fraction", lambda: 0.0)())
     return DynamicEvaluation(
         method=method_name,
         accuracy=accuracy,
@@ -310,8 +274,8 @@ def _assemble_dynamic_evaluation(
         total_seconds=mutation_seconds + query_seconds,
         avg_query_seconds=query_seconds / max(num_queries, 1),
         avg_mutation_seconds=mutation_seconds / max(num_mutations, 1),
-        space_in_values=space_in_values,
-        space_fraction=space_fraction,
+        space_in_values=searcher.space_in_values(),
+        space_fraction=searcher.space_fraction(),
     )
 
 

@@ -6,6 +6,10 @@ every accuracy experiment.
 
 ``containment_similarity`` / ``jaccard_similarity``
     The exact set similarity functions of Definitions 1–2.
+
+Each searcher below is a registered :class:`~repro.api.SimilarityIndex`
+through the shared base :class:`~repro.exact.base.ExactSearcher`.
+
 ``BruteForceSearcher``
     Reference implementation that scans every record.
 ``FrequentSetSearcher``

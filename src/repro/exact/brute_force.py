@@ -11,11 +11,14 @@ from typing import Iterable, Sequence
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.index import SearchResult
+from repro.exact.base import ExactSearcher
 from repro.exact.similarity import containment_similarity
 
 
-class BruteForceSearcher:
+class BruteForceSearcher(ExactSearcher):
     """Exact containment search by exhaustive scan."""
+
+    backend_id = "brute-force"
 
     def __init__(self, records: Sequence[Iterable[object]]) -> None:
         self._records = [
@@ -31,9 +34,6 @@ class BruteForceSearcher:
     def num_records(self) -> int:
         """Number of records in the dataset."""
         return len(self._records)
-
-    def __len__(self) -> int:
-        return self.num_records
 
     def record(self, record_id: int) -> frozenset:
         """The record stored under ``record_id``."""

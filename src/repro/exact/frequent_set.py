@@ -20,10 +20,13 @@ import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.index import SearchResult
+from repro.exact.base import ExactSearcher
 
 
-class FrequentSetSearcher:
+class FrequentSetSearcher(ExactSearcher):
     """Exact containment search with per-element inverted lists."""
+
+    backend_id = "frequent-set"
 
     def __init__(self, records: Sequence[Iterable[object]]) -> None:
         materialized = [frozenset(record) for record in records]
@@ -44,9 +47,6 @@ class FrequentSetSearcher:
     def num_records(self) -> int:
         """Number of indexed records."""
         return int(self._record_sizes.size)
-
-    def __len__(self) -> int:
-        return self.num_records
 
     @property
     def num_distinct_elements(self) -> int:

@@ -23,10 +23,13 @@ from typing import Iterable, Sequence
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.core.index import SearchResult
+from repro.exact.base import ExactSearcher
 
 
-class PPJoinSearcher:
+class PPJoinSearcher(ExactSearcher):
     """Exact containment search with prefix-filter candidate generation."""
+
+    backend_id = "ppjoin"
 
     def __init__(self, records: Sequence[Iterable[object]]) -> None:
         materialized = [frozenset(record) for record in records]
@@ -61,9 +64,6 @@ class PPJoinSearcher:
     def num_records(self) -> int:
         """Number of indexed records."""
         return len(self._records)
-
-    def __len__(self) -> int:
-        return self.num_records
 
     def _query_prefix(self, query_ranks: list[int], required_overlap: int) -> list[int]:
         """The ``|Q| − θ + 1`` least-frequent query tokens (prefix filter)."""

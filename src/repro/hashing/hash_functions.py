@@ -14,7 +14,7 @@ synthetic datasets used in the benchmarks, and get a fast path.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Collection, Iterable
 
 import numpy as np
@@ -60,10 +60,10 @@ def mix64_many(values: np.ndarray) -> np.ndarray:
     """Vectorised :func:`mix64` over an integer array (uint64 result).
 
     Element-wise identical to the scalar mixer — the same finalizer, no
-    seed fold — so anything that routes on ``mix64(value)`` (e.g. the
-    sharded backend's record-id partitioner) can route whole id columns
-    in one pass and land every id on the same shard the scalar path
-    would.
+    seed fold (:class:`UnitHash` folds its seed in first) — so anything
+    that routes on ``mix64(value)`` (e.g. the sharded backend's
+    record-id partitioner) can route whole id columns in one pass and
+    land every id on the same shard the scalar path would.
     """
     z = np.ascontiguousarray(values, dtype=np.uint64)
     with np.errstate(over="ignore"):
@@ -218,16 +218,19 @@ class UnitHash:
     """
 
     seed: int = 0
+    #: ``mix64(seed)``, folded into every fingerprint; derived once here.
+    _seed_mix: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not isinstance(self.seed, (int, np.integer)):
             raise ConfigurationError("seed must be an integer")
         object.__setattr__(self, "seed", int(self.seed) & MAX_UINT64)
+        object.__setattr__(self, "_seed_mix", mix64(self.seed))
 
     # -- scalar paths ------------------------------------------------------
     def hash_int(self, fingerprint: int) -> float:
         """Hash a pre-computed 64-bit fingerprint to ``[0, 1)``."""
-        return hash_to_unit(mix64(fingerprint ^ mix64(self.seed)))
+        return hash_to_unit(mix64(fingerprint ^ self._seed_mix))
 
     def __call__(self, element: object) -> float:
         """Hash an arbitrary supported element to ``[0, 1)``."""
@@ -254,17 +257,7 @@ class UnitHash:
         fingerprints = np.ascontiguousarray(fingerprints, dtype=np.uint64)
         if fingerprints.size == 0:
             return np.empty(0, dtype=np.float64)
-        return self._hash_uint64_array(fingerprints)
-
-    def _hash_uint64_array(self, arr: np.ndarray) -> np.ndarray:
-        """Vectorised SplitMix64 over a uint64 array."""
-        seed_mix = np.uint64(mix64(self.seed))
-        with np.errstate(over="ignore"):
-            z = arr ^ seed_mix
-            z = z + np.uint64(_GOLDEN_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-            z = z ^ (z >> np.uint64(31))
+        z = mix64_many(fingerprints ^ np.uint64(self._seed_mix))
         return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
     def pack(self) -> bytes:

@@ -99,14 +99,13 @@ class SimilarityService:
     Parameters
     ----------
     index:
-        Any built backend.  Static backends serve queries only — their
-        write methods keep raising
+        Any built backend.  A dynamic one's writes buffer in a
+        :class:`~repro.serving.write_buffer.WriteCoalescer` that takes
+        its ids from the index's ``next_record_id``.  Static backends
+        serve queries only — their write methods keep raising
         :class:`~repro._errors.CapabilityError` through the service.
     config:
         A :class:`~repro.api.ServingConfig`; ``None`` uses the defaults.
-    next_record_id:
-        Override of the write buffer's id seed (rarely needed — every
-        dynamic backend in the library exposes ``next_record_id``).
     close_index:
         Whether :meth:`close` also closes the wrapped index (default
         true; pass false when the index outlives the service).
@@ -117,17 +116,12 @@ class SimilarityService:
         index: SimilarityIndex,
         config: ServingConfig | None = None,
         *,
-        next_record_id: int | None = None,
         close_index: bool = True,
     ) -> None:
         self._index = index
         self._config = _validate_config(config or ServingConfig())
         self._close_index = bool(close_index)
-        self._writes = (
-            WriteCoalescer(index, next_record_id=next_record_id)
-            if index.capabilities.dynamic
-            else None
-        )
+        self._writes = WriteCoalescer(index) if index.capabilities.dynamic else None
         self._batcher = MicroBatcher(
             self._execute_batch, max_batch_size=self._config.max_batch_size
         )

@@ -16,11 +16,13 @@ same flush (the record is never visible to any query), and an update
 racing a flush goes to the *next* flush — the flush snapshots the
 buffer atomically and operations enqueued during it stay queued.
 
-The coalescer is deliberately synchronous and index-agnostic: the
-asyncio serving layer (:mod:`repro.serving.service`) drives it from a
-worker thread under its visibility policy, and the dynamic-stream
-harness (:func:`repro.evaluation.harness.evaluate_dynamic_stream`)
-drives it inline — one coalescing path for service and harness.
+The coalescer is deliberately synchronous and serves any dynamic
+:class:`~repro.api.SimilarityIndex`, seeding its ids from the index's
+``next_record_id``: the asyncio serving layer
+(:mod:`repro.serving.service`) drives it from a worker thread under its
+visibility policy, and the dynamic-stream harness
+(:func:`repro.evaluation.harness.evaluate_dynamic_stream`) drives it
+inline — one coalescing path for service and harness.
 
 The coalescer assumes it is the **single writer** of the index it
 wraps; a concurrent writer would break the eager id assignment (the
@@ -68,47 +70,27 @@ class WriteCoalescer:
     Parameters
     ----------
     index:
-        The dynamic index every flush applies to.
-    next_record_id:
-        Seed of the eager id assignment.  ``None`` reads the index's
-        ``next_record_id`` property; an explicit value overrides it
-        (the dynamic-stream harness passes the stream's own id base).
-
-    Plain searcher objects that merely quack like a dynamic index
-    (``insert_many``/``delete``) are accepted too — the evaluation
-    harness never dropped its duck-typing — but they must then be given
-    an explicit ``next_record_id``.
+        The dynamic index every flush applies to.  Its
+        ``next_record_id`` seeds the eager id assignment.
 
     Raises
     ------
     ConfigurationError
-        If the index is not dynamic, or neither the index nor the
-        caller can name the next record id.
+        If the index is not a dynamic :class:`SimilarityIndex`, or does
+        not name its next record id.
     """
 
-    def __init__(
-        self, index: SimilarityIndex, next_record_id: int | None = None
-    ) -> None:
-        if isinstance(index, SimilarityIndex):
-            if not index.capabilities.dynamic:
-                raise ConfigurationError(
-                    f"backend {index.backend_id or type(index).__name__!r} is "
-                    "not dynamic; a write buffer needs insert/delete/update "
-                    "support"
-                )
-        elif not callable(getattr(index, "insert_many", None)) or not callable(
-            getattr(index, "delete", None)
-        ):
+    def __init__(self, index: SimilarityIndex) -> None:
+        if not (isinstance(index, SimilarityIndex) and index.capabilities.dynamic):
             raise ConfigurationError(
-                f"{type(index).__name__} has no insert_many/delete; a write "
-                "buffer needs a dynamic index"
+                f"{type(index).__name__} is not dynamic; a write buffer needs "
+                "a SimilarityIndex with insert_many/delete/update support"
             )
-        if next_record_id is None:
-            next_record_id = getattr(index, "next_record_id", None)
+        next_record_id = index.next_record_id
         if next_record_id is None:
             raise ConfigurationError(
-                "the index does not expose next_record_id and none was given; "
-                "pass next_record_id= explicitly to enable eager id assignment"
+                f"{type(index).__name__} does not expose next_record_id; a "
+                "write buffer needs it to assign record ids eagerly"
             )
         self._index = index
         self._next_id = int(next_record_id)

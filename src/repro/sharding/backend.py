@@ -39,7 +39,7 @@ import numpy as np
 
 from repro._errors import ConfigurationError, EmptyDatasetError
 from repro.api.config import IndexConfig, ShardedConfig
-from repro.core.index import _assemble_workload_results
+from repro.core.index import SketchStoreIndex, _assemble_workload_results
 from repro.core.profiling import BuildProfile
 from repro.core.store import append_rows
 from repro.hashing import check_record, materialize_record
@@ -428,21 +428,18 @@ class ShardedIndex(SimilarityIndex):
     def space_fraction(self) -> float:
         """Space used as a fraction of the (live) dataset size.
 
-        Aggregated from the shards: each shard's live element count is
-        recovered as ``space / fraction``, so the global fraction is the
-        space-weighted harmonic combination of the per-shard ones.
+        The summed space over the summed live element count of the
+        sketch-store shards, the ones that track space: a shard that
+        holds no sketch values still counts its elements.
         """
-        total_space = 0.0
-        total_elements = 0.0
-        for shard in self._shards:
-            space = float(shard.space_in_values())
-            fraction = float(shard.space_fraction())
-            total_space += space
-            if fraction > 0.0:
-                total_elements += space / fraction
-        if total_elements == 0.0:
+        total_elements = sum(
+            int(shard.record_sizes().sum())
+            for shard in self._shards
+            if isinstance(shard, SketchStoreIndex)
+        )
+        if total_elements == 0:
             return 0.0
-        return total_space / total_elements
+        return self.space_in_values() / total_elements
 
     # ------------------------------------------------------------------ misc
     def _globals(self) -> list[np.ndarray]:

@@ -5,6 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api import (
+    AsymmetricMinHashConfig,
+    Capabilities,
+    create_index,
+    get_backend,
+    open_index,
+)
 from repro.baselines import AsymmetricMinHashIndex
 from repro.baselines.asymmetric_minhash import padded_jaccard_threshold
 from repro.exact import BruteForceSearcher
@@ -94,3 +101,20 @@ class TestPersistence:
         other.save(path)
         with pytest.raises(SnapshotFormatError):
             AsymmetricMinHashIndex.load(path)
+
+
+class TestRegisteredBackend:
+    def test_every_entry_point_returns_the_class_itself(self, tiny_records, tmp_path):
+        assert get_backend("asymmetric-minhash") is AsymmetricMinHashIndex
+        built = AsymmetricMinHashIndex.build(tiny_records, num_perm=32)
+        created = create_index(
+            "asymmetric-minhash", tiny_records, AsymmetricMinHashConfig(num_perm=32)
+        )
+        created.save(tmp_path / "amh.npz")
+        opened = open_index(tmp_path / "amh.npz")
+        expected = Capabilities(
+            dynamic=False, batched=False, persistent=True, exact=False, scored=False
+        )
+        for index in (built, created, opened, AsymmetricMinHashIndex.load(tmp_path / "amh.npz")):
+            assert type(index) is AsymmetricMinHashIndex
+            assert index.capabilities == expected

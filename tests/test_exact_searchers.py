@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api import Capabilities, ExactSearchConfig, create_index, get_backend
 from repro.exact import BruteForceSearcher, FrequentSetSearcher, PPJoinSearcher
 
 SEARCHERS = [BruteForceSearcher, FrequentSetSearcher, PPJoinSearcher]
@@ -101,3 +102,25 @@ class TestSearcherSpecifics:
         # Only one of four query tokens exists in the dataset, so 0.5 * 4 = 2
         # overlapping tokens can never be reached.
         assert searcher.search(["e1", "zz", "yy", "xx"], threshold=0.6) == []
+
+
+@pytest.mark.parametrize(
+    "backend_id, searcher_cls",
+    [
+        ("brute-force", BruteForceSearcher),
+        ("frequent-set", FrequentSetSearcher),
+        ("ppjoin", PPJoinSearcher),
+    ],
+)
+def test_registered_backend_is_the_searcher_class(backend_id, searcher_cls, tiny_records):
+    assert get_backend(backend_id) is searcher_cls
+    expected = Capabilities(
+        dynamic=False, batched=False, persistent=False, exact=True, scored=True
+    )
+    for index in (
+        searcher_cls(tiny_records),
+        create_index(backend_id, tiny_records),
+        create_index(backend_id, tiny_records, ExactSearchConfig()),
+    ):
+        assert type(index) is searcher_cls
+        assert index.capabilities == expected

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro._errors import ConfigurationError
+from repro.api import Capabilities, SimilarityIndex
 from repro.core import GBKMVIndex
 from repro.evaluation import (
     evaluate_search_method,
@@ -193,11 +194,17 @@ class TestEvaluateDynamicStream:
             zipf_records[:80], threshold=0.5, num_operations=40, seed=13
         )
 
-        class LoopOnly:
-            """A searcher with no insert_many: batching must degrade gracefully."""
+        class LoopOnly(SimilarityIndex):
+            """A dynamic index whose insert_many is the base class's loop."""
+
+            capabilities = Capabilities(dynamic=True)
 
             def __init__(self, inner):
                 self.inner = inner
+
+            @classmethod
+            def from_records(cls, records, config=None):
+                return cls(GBKMVIndex.build(records, space_fraction=1.0))
 
             def search(self, query, threshold, query_size=None):
                 return self.inner.search(query, threshold, query_size=query_size)
@@ -208,9 +215,15 @@ class TestEvaluateDynamicStream:
             def delete(self, record_id):
                 self.inner.delete(record_id)
 
-        searcher = LoopOnly(
-            GBKMVIndex.build(list(workload.initial_records), space_fraction=1.0)
-        )
+            @property
+            def next_record_id(self):
+                return self.inner.next_record_id
+
+            @property
+            def num_records(self):
+                return self.inner.num_records
+
+        searcher = LoopOnly.from_records(list(workload.initial_records))
         evaluation = evaluate_dynamic_stream(
             "GB-KMV", searcher, workload, coalesce_writes=True
         )

@@ -157,9 +157,26 @@ class TestUnitHash:
     def test_string_hashing_process_independent_constant(self):
         # Pin a concrete value so accidental changes to the fingerprinting
         # scheme (which would invalidate stored sketches) are caught.
-        value = UnitHash(seed=0)("element")
-        assert 0.0 <= value < 1.0
-        assert value == UnitHash(seed=0)("element")
+        assert UnitHash(seed=0)("element") == 0.9395936612052355
+
+    @pytest.mark.parametrize(
+        "seed, expected",
+        [
+            (
+                0,
+                [0.6524484863740322, 0.03401170130434639, 0.3262610137346482, 0.1790798029343914],
+            ),
+            (
+                99,
+                [0.5080615638574505, 0.8675922450125001, 0.7745578680976901, 0.17562190344163553],
+            ),
+        ],
+    )
+    def test_fingerprint_hashing_pinned_values(self, seed, expected):
+        # Every stored sketch holds these values: the mixer must not drift.
+        fingerprints = np.array([0, 1, 2**63, MAX_UINT64], dtype=np.uint64)
+        assert UnitHash(seed=seed).hash_fingerprints(fingerprints).tolist() == expected
+        assert [UnitHash(seed=seed).hash_int(int(fp)) for fp in fingerprints] == expected
 
     def test_pack_unpack_roundtrip(self):
         hasher = UnitHash(seed=123456789)

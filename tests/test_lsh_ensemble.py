@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro._errors import ConfigurationError, EmptyDatasetError
+from repro.api import Capabilities, LSHEnsembleConfig, create_index, get_backend, open_index
 from repro.baselines import LSHEnsembleIndex
 from repro.baselines.lsh_ensemble import containment_to_jaccard, jaccard_to_containment
 from repro.exact import BruteForceSearcher
@@ -190,3 +191,27 @@ class TestPersistence:
         assert original == [
             (h.record_id, h.score) for h in index.search(query, 0.5, verify=True)
         ]
+
+
+class TestRegisteredBackend:
+    @pytest.mark.parametrize("verify", [False, True])
+    def test_every_entry_point_returns_the_class_itself(self, tiny_records, tmp_path, verify):
+        assert get_backend("lsh-ensemble") is LSHEnsembleIndex
+        built = LSHEnsembleIndex.build(
+            tiny_records, num_perm=32, num_partitions=2, verify=verify
+        )
+        created = create_index(
+            "lsh-ensemble",
+            tiny_records,
+            LSHEnsembleConfig(num_perm=32, num_partitions=2, verify=verify),
+        )
+        created.save(tmp_path / "lshe.npz")
+        opened = open_index(tmp_path / "lshe.npz")
+        # Only verification scores hits, and only on the instance.
+        expected = Capabilities(
+            dynamic=False, batched=False, persistent=True, exact=False, scored=verify
+        )
+        for index in (built, created, opened, LSHEnsembleIndex.load(tmp_path / "lshe.npz")):
+            assert type(index) is LSHEnsembleIndex
+            assert index.capabilities == expected
+        assert not LSHEnsembleIndex.capabilities.scored

@@ -38,28 +38,29 @@ def index(records) -> GBKMVIndex:
     return GBKMVIndex.build(records, space_fraction=1.0)
 
 
-class RecordingSearcher:
-    """Duck-typed dynamic searcher that records every index call."""
+class RecordingSearcher(GBKMVIndex):
+    """A GB-KMV index that records every write call the buffer makes."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.calls: list[tuple] = []
 
-    @property
-    def next_record_id(self):
-        return self.inner.next_record_id
+    @classmethod
+    def over(cls, records):
+        """The ``index`` fixture's build, recording."""
+        return cls.build(records, space_fraction=1.0)
 
     def insert_many(self, batch):
         self.calls.append(("insert_many", len(batch)))
-        return self.inner.insert_many(batch)
+        return super().insert_many(batch)
 
     def delete(self, record_id):
         self.calls.append(("delete", record_id))
-        self.inner.delete(record_id)
+        super().delete(record_id)
 
     def update(self, record_id, record):
         self.calls.append(("update", record_id))
-        return self.inner.update(record_id, record)
+        return super().update(record_id, record)
 
 
 class TestOrderingAndCoalescing:
@@ -74,8 +75,8 @@ class TestOrderingAndCoalescing:
         assert buffer.pending == 0
         assert index.num_records == len(records) + 3
 
-    def test_consecutive_inserts_collapse_into_one_bulk_call(self, index, records):
-        searcher = RecordingSearcher(index)
+    def test_consecutive_inserts_collapse_into_one_bulk_call(self, records):
+        searcher = RecordingSearcher.over(records)
         buffer = WriteCoalescer(searcher)
         for i in range(4):
             buffer.insert(records[i])
@@ -117,9 +118,7 @@ class TestOrderingAndCoalescing:
         scores = {hit.record_id: hit.score for hit in index.search(records[1], 0.99)}
         assert scores.get(record_id) == pytest.approx(1.0)
 
-    def test_ops_enqueued_during_flush_go_to_the_next_flush(self, index, records):
-        buffer = WriteCoalescer(index)
-
+    def test_ops_enqueued_during_flush_go_to_the_next_flush(self, records):
         class EnqueueDuringFlush(RecordingSearcher):
             def insert_many(self, batch):
                 assigned = super().insert_many(batch)
@@ -129,8 +128,8 @@ class TestOrderingAndCoalescing:
                 buffer.update(assigned[0], records[5])
                 return assigned
 
-        searcher = EnqueueDuringFlush(index)
-        buffer._index = searcher  # route applications through the hook
+        searcher = EnqueueDuringFlush.over(records)
+        buffer = WriteCoalescer(searcher)
         buffer.insert(records[0])
         assert buffer.flush() == 1
         assert buffer.pending == 1  # the mid-flush update is still queued
@@ -140,12 +139,12 @@ class TestOrderingAndCoalescing:
 
 
 class TestFailureRecovery:
-    def test_failing_op_is_discarded_and_remainder_requeued(self, index, records):
+    def test_failing_op_is_discarded_and_remainder_requeued(self, records):
         class FlakyDelete(RecordingSearcher):
             def delete(self, record_id):
                 raise RuntimeError("shard offline")
 
-        searcher = FlakyDelete(index)
+        index = searcher = FlakyDelete.over(records)
         buffer = WriteCoalescer(searcher)
         buffer.insert(records[0])
         buffer.delete(0)
@@ -199,21 +198,14 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="not dynamic"):
             WriteCoalescer(static)
 
-    def test_duck_typed_searcher_without_next_record_id_needs_a_seed(
-        self, index, records
-    ):
-        class Bare:
-            def insert_many(self, batch):
-                return index.insert_many(batch)
+    def test_dynamic_index_without_next_record_id_is_rejected(self, records):
+        class UnknownNextId(GBKMVIndex):
+            next_record_id = None  # the interface's "unknown"
 
-            def delete(self, record_id):
-                index.delete(record_id)
-
+        index = UnknownNextId.build(records, space_fraction=1.0)
+        assert index.capabilities.dynamic
         with pytest.raises(ConfigurationError, match="next_record_id"):
-            WriteCoalescer(Bare())
-        buffer = WriteCoalescer(Bare(), next_record_id=len(records))
-        assert buffer.insert(records[0]) == len(records)
-        assert buffer.flush() == 1
+            WriteCoalescer(index)
 
     def test_object_without_dynamic_surface_is_rejected(self):
         with pytest.raises(ConfigurationError, match="insert_many"):

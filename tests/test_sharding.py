@@ -464,6 +464,37 @@ def test_capabilities_mirror_inner_backend():
     assert sharded.capabilities.scored
 
 
+@pytest.mark.parametrize(
+    "inner_backend, inner_config",
+    [
+        *_INNER_CONFIGS.items(),
+        # A one-value budget leaves three of the four shards without a
+        # sketch value; their elements still count.
+        ("gkmv", GKMVConfig(space_budget=1)),
+        ("gbkmv", GBKMVConfig(space_budget=1)),
+    ],
+)
+def test_space_fraction_matches_unsharded(inner_backend, inner_config):
+    records = _dataset()
+    unsharded = create_index(inner_backend, records, inner_config)
+    sharded = create_index(
+        "sharded",
+        records,
+        ShardedConfig(
+            num_shards=4,
+            inner_backend=inner_backend,
+            inner_config=inner_config,
+            max_workers=1,
+        ),
+    )
+    if inner_config.space_budget == 1:
+        assert min(shard.space_in_values() for shard in sharded.shards) == 0.0
+    for index in (unsharded, sharded):
+        index.delete(7)  # only live elements count
+        assert index.space_fraction() > 0.0
+    assert sharded.space_fraction() == pytest.approx(unsharded.space_fraction())
+
+
 # ------------------------------------------- generic dynamic inner backends
 class _ToySetBackend(SimilarityIndex):
     """Minimal dynamic exact backend used to exercise the generic planner."""
