@@ -104,7 +104,7 @@ from repro.core.gkmv import GKMVSketch
 from repro.core.profiling import BuildProfile
 from repro.core.sorting import stable_argsort, stable_lexsort
 from repro.core.store import BITS_PER_WORD, ColumnarSketchStore
-from repro.hashing import UnitHash
+from repro.hashing import UnitHash, materialize_record
 
 
 @dataclass(frozen=True)
@@ -136,6 +136,33 @@ DEFAULT_ROW_BLOCK_SIZE = 4096
 #: ``SWEEP_BLOCK_CELLS / DEFAULT_ROW_BLOCK_SIZE`` the default block grows,
 #: so a sweep of one query (a single ``search``) pays for few blocks.
 SWEEP_BLOCK_CELLS = 256 * DEFAULT_ROW_BLOCK_SIZE
+
+#: The element count from which :meth:`SketchStoreIndex._sketch_batch`
+#: sketches a batch of records or queries with the bulk kernels (one
+#: ``flatten_records`` pass and the family's ``_sketch_bulk``); a smaller
+#: batch is sketched record by record.  The bulk kernels cost about 40
+#: numpy calls (95 µs) whatever the batch size; a record sketched on its
+#: own costs a dozen numpy and Python calls, worth
+#: :data:`SKETCH_RECORD_ELEMENTS` elements, plus its elements.  So a batch
+#: counts its elements (repeats included) plus that much per record, and
+#: the two sides meet near this count: at 8 five-element queries, and at
+#: one query of about 720 elements (timeit medians on a 2-vCPU VM; see
+#: CHANGES.md).  A record of ``VECTOR_HASH_MIN_SIZE`` (18) or more
+#: elements costs more on its own than the count says, since its hashing
+#: pays numpy's fixed cost: 20-element queries meet the bulk side at 4 or
+#: 5 queries, not 7.
+BULK_SKETCH_MIN_ELEMENTS = 820
+
+#: What sketching one more record on its own costs, in elements: the
+#: per-record term of :data:`BULK_SKETCH_MIN_ELEMENTS`'s count.
+SKETCH_RECORD_ELEMENTS = 96
+
+#: Residual elements from which :meth:`SketchStoreIndex._sketch_parts`
+#: sorts and deduplicates a record's hash values with ``np.unique``; a
+#: smaller residual is sorted as a Python set, below ``np.unique``'s
+#: 5 µs fixed cost (the two meet at about 46 values, timed like
+#: :data:`BULK_SKETCH_MIN_ELEMENTS`).
+UNIQUE_MIN_SIZE = 46
 
 
 @dataclass(frozen=True)
@@ -333,6 +360,10 @@ class _Workload:
 #: Id of an empty slot in a running top-k list: sorts after every record id.
 _NO_ID = np.iinfo(np.int64).max
 
+#: What sketching an empty record or query raises.
+_EMPTY_RECORD = "cannot insert an empty record"
+_EMPTY_QUERY = "query must contain at least one element"
+
 
 def _top_cells(
     scores: np.ndarray, candidates: np.ndarray, limit: int, ids_ascending: bool
@@ -416,33 +447,36 @@ def _fill_with_zero_scores(
 ) -> None:
     """Complete the running top lists of ``queries`` with the smallest live ids.
 
-    These queries' bound ``|H_Q| / |Q|`` is 0: every record outside their
-    lists scores exactly ``0.0``, so the smallest ids they do not hold
-    fill their lists.  A list holds at most ``limit`` ids, so the
-    ``limit`` + (most held) smallest live ids contain enough it lacks.
+    These queries' bound ``|H_Q| / |Q|`` is 0: every record scores exactly
+    ``0.0`` but the held hits that score above it, and those lead their
+    lists, which run in result order.  So each list is its positive hits
+    followed by the smallest live ids outside them, in increasing order —
+    a held hit that scores exactly ``0.0`` takes its place among them by
+    id, like any other.  The fill is written behind the positive hits, no
+    merge needed; a list holds at most ``limit`` of them, so the
+    ``limit`` + (most positive hits) smallest live ids hold enough.
     """
     limit = top_ids.shape[1]
-    held = top_ids[queries]
-    num_held = np.count_nonzero(held != _NO_ID, axis=1)
-    smallest = store.smallest_live_ids(limit + int(num_held.max()))
-    empty = num_held == 0
-    top_scores[queries[empty]] = 0.0
-    top_ids[queries[empty]] = smallest[:limit]
-    if empty.all():
+    positive = top_scores[queries] > 0.0
+    num_positive = positive.sum(axis=1)
+    smallest = store.smallest_live_ids(limit + int(num_positive.max()))
+    if not num_positive.any():
+        top_scores[queries] = 0.0
+        top_ids[queries] = smallest[:limit]
         return
-    # A held id keeps its own score: drop it from the candidates, by
-    # matching packed (list, id) keys.
-    partial, held = queries[~empty], held[~empty]
-    lists, slots = np.nonzero(held != _NO_ID)
+    # Drop each list's positive ids from the candidates, by matching
+    # packed (list, id) keys.
+    lists, slots = np.nonzero(positive)
     span = store.next_id
-    fresh = ~np.isin(
-        np.arange(partial.size)[:, np.newaxis] * span + smallest,
-        lists * span + held[lists, slots],
-    )
-    lists, columns = np.nonzero(fresh)
-    _merge_top(
-        top_scores, top_ids, partial[lists], smallest[columns], np.zeros(lists.size)
-    )
+    held_keys = np.sort(lists * span + top_ids[queries[lists], slots])
+    keys = np.arange(queries.size)[:, np.newaxis] * span + smallest
+    at = np.minimum(np.searchsorted(held_keys, keys), held_keys.size - 1)
+    fresh = held_keys[at] != keys
+    rank = np.cumsum(fresh, axis=1) - 1
+    lists, columns = np.nonzero(fresh & (rank < (limit - num_positive)[:, np.newaxis]))
+    slots = (queries[lists], num_positive[lists] + rank[lists, columns])
+    top_scores[slots] = 0.0
+    top_ids[slots] = smallest[columns]
 
 
 class SketchStoreIndex(SimilarityIndex):
@@ -696,9 +730,18 @@ class SketchStoreIndex(SimilarityIndex):
 
     # ---------------------------------------------------------------- updates
     def _sketch_parts(self, record: Iterable[object]) -> tuple[int, np.ndarray, int]:
-        """Split a record into (buffer mask, kept residual values, residual size)."""
+        """Split a record into (buffer mask, kept residual values, residual size).
+
+        The residual's hash values are sorted and deduplicated as a Python
+        set below :data:`UNIQUE_MIN_SIZE` elements and by ``np.unique``
+        from it; both give the sorted distinct values.
+        """
         mask, residual = self._split(record)
-        hashes = np.unique(self._hasher.hash_many(residual))
+        hashes = self._hasher.hash_many(residual)
+        if hashes.size < UNIQUE_MIN_SIZE:
+            hashes = np.array(sorted(set(hashes.tolist())), dtype=np.float64)
+        else:
+            hashes = np.unique(hashes)
         return mask, self._keep(hashes), len(residual)
 
     def _ingest_bulk(
@@ -706,17 +749,21 @@ class SketchStoreIndex(SimilarityIndex):
     ) -> np.ndarray:
         """Sketch a flattened batch in bulk and append it in one staged merge.
 
-        Returns the assigned record ids.  Falls back to one
-        :meth:`_add_record` per record when :meth:`_sketch_bulk` cannot
-        sketch the batch.
+        Returns the assigned record ids.  Sketches record by record when
+        :meth:`_sketch_bulk` cannot sketch the batch.
         """
         sketches = self._sketch_bulk(flat, profile=profile, **hints)
         if sketches is None:
-            ids = [
-                self._add_record(set(flat.record_elements(position)))
-                for position in range(flat.num_records)
-            ]
-            return np.asarray(ids, dtype=np.int64)
+            sketches = self._sketch_each(
+                [flat.record_elements(position) for position in range(flat.num_records)],
+                _EMPTY_RECORD,
+            )
+        return self._append_sketches(sketches, profile=profile)
+
+    def _append_sketches(
+        self, sketches: BulkSketches, profile: BuildProfile | None = None
+    ) -> np.ndarray:
+        """Append a batch's sketch rows in one staged merge; returns their ids."""
         return self._store.append_bulk(
             values=sketches.values,
             value_lengths=sketches.value_lengths,
@@ -724,6 +771,62 @@ class SketchStoreIndex(SimilarityIndex):
             residual_record_sizes=sketches.residual_record_sizes,
             record_sizes=sketches.record_sizes,
             profile=profile,
+        )
+
+    def _sketch_batch(
+        self, records: Sequence[Iterable[object]], empty_message: str
+    ) -> BulkSketches:
+        """Sketch a batch of records or queries into CSR columns, by its size.
+
+        The one preparation entry of :meth:`insert_many` and the query
+        engine.  A batch whose elements, plus
+        :data:`SKETCH_RECORD_ELEMENTS` per record, reach
+        :data:`BULK_SKETCH_MIN_ELEMENTS` is sketched by the bulk kernels:
+        one :func:`~repro.core.bulk.flatten_records` pass and the family's
+        :meth:`_sketch_bulk`, whose fixed cost such a batch amortises.  A
+        smaller one — a single query, a few serving queries, a flush of a
+        few records — is sketched record by record (:meth:`_sketch_each`).
+        Either way each row keeps exactly what :meth:`insert` keeps of the
+        same elements.  Records are sketched one at a time as well when
+        the bulk kernel cannot sketch under the index's parameters, and
+        when the bulk pass rejects the batch, so that a malformed record
+        raises the error it raises alone (``empty_message`` for an empty
+        one), whatever the batch's size.
+        """
+        try:
+            num_elements = sum(map(len, records))
+        except TypeError:  # an unsized record: read every one once
+            records = [materialize_record(record) for record in records]
+            num_elements = sum(map(len, records))
+        sketches = None
+        if num_elements + SKETCH_RECORD_ELEMENTS * len(records) >= BULK_SKETCH_MIN_ELEMENTS:
+            try:
+                sketches = self._sketch_bulk(flatten_records(records))
+            except (ConfigurationError, TypeError):
+                pass  # sketched one at a time below, where each raises its own error
+        if sketches is None:
+            sketches = self._sketch_each(records, empty_message)
+        return sketches
+
+    def _sketch_each(
+        self, records: Sequence[Iterable[object]], empty_message: str
+    ) -> BulkSketches:
+        """The records' sketches, one :meth:`_sketch_parts` call per record."""
+        masks, kept, residual_sizes, record_sizes = [], [], [], []
+        for record in records:
+            mask, values, residual_size = self._sketch_parts(record)
+            if not (mask or residual_size):
+                raise ConfigurationError(empty_message)
+            masks.append(mask)
+            kept.append(values)
+            residual_sizes.append(residual_size)
+            record_sizes.append(mask.bit_count() + residual_size)
+        return BulkSketches(
+            values=np.concatenate(kept),
+            value_offsets=np.array([0, *accumulate(map(len, kept))], dtype=np.int64),
+            signatures=self._store.pack_signature_masks(masks),
+            residual_record_sizes=np.array(residual_sizes, dtype=np.int64),
+            record_sizes=np.array(record_sizes, dtype=np.int64),
         )
 
     def _add_record(self, record: set) -> int:
@@ -747,28 +850,31 @@ class SketchStoreIndex(SimilarityIndex):
         """
         materialized = set(record)
         if not materialized:
-            raise ConfigurationError("cannot insert an empty record")
+            raise ConfigurationError(_EMPTY_RECORD)
         return self._add_record(materialized)
 
     def insert_many(self, records: Sequence[Iterable[object]]) -> list[int]:
         """Batched ingest: insert a whole batch of records in one bulk pass.
 
-        The batch is sketched with the vectorised pipeline of
+        The batch is sketched through :meth:`_sketch_batch`: once its
+        elements, plus :data:`SKETCH_RECORD_ELEMENTS` per record, reach
+        :data:`BULK_SKETCH_MIN_ELEMENTS`, with the vectorised pipeline of
         :mod:`repro.core.bulk` (one fingerprint pass, one unique-hash
-        pass) and lands in the segmented store through one staged-batch
-        merge — the value→record join index absorbs the whole batch with
-        a single two-run merge.  Record ids, store state and every later
-        search result are identical to looping :meth:`insert` over the
-        batch; the wall-clock cost is what :func:`~repro.core.bulk`
-        removes.
+        pass), and record by record below that, where the pipeline's
+        fixed cost exceeds the batch's own (a serving flush of a few
+        records).  Either way the batch lands in the segmented
+        store through one staged-batch merge — the value→record join
+        index absorbs it with a single two-run merge.  Record ids, store
+        state and every later search result are identical to looping
+        :meth:`insert` over the batch.  The write is all or nothing: a
+        failure leaves no id or row of the batch behind.
 
         Returns the assigned record ids, in batch order.  An empty batch
         is a no-op returning ``[]``.
         """
         if len(records) == 0:
             return []
-        flat = flatten_records(records)
-        return self._ingest_bulk(flat).tolist()
+        return self._append_sketches(self._sketch_batch(records, _EMPTY_RECORD)).tolist()
 
     def delete(self, record_id: int) -> None:
         """Delete a record: an O(1) tombstone, invisible to every later search.
@@ -973,26 +1079,17 @@ class SketchStoreIndex(SimilarityIndex):
         """Sketch a workload into the arrays the engine consumes.
 
         Each query keeps exactly the values, buffer bits and exactness
-        that a record of the same elements keeps.  A workload of two or
-        more queries is sketched as :meth:`insert_many` sketches records:
-        one :func:`~repro.core.bulk.flatten_records` pass and the family's
-        bulk kernel (:meth:`_sketch_bulk`), with no Python step per query.
-        A single query is sketched as :meth:`insert` sketches a record
-        (:meth:`_sketch_parts`), which costs less than the bulk kernels'
-        fixed cost.  The queries are also sketched one at a time when the
-        bulk kernel cannot sketch under the index's parameters, and when
-        the bulk pass rejects the workload, so that a malformed query
-        (empty, or holding an element of an unsupported type) raises the
-        error it raises alone.
+        that a record of the same elements keeps: the workload is
+        sketched as :meth:`insert_many` sketches records, through
+        :meth:`_sketch_batch`.  A workload whose elements, plus
+        :data:`SKETCH_RECORD_ELEMENTS` per query, reach
+        :data:`BULK_SKETCH_MIN_ELEMENTS` takes the bulk kernels, with no
+        Python step per query; a smaller one — a single search, a few
+        serving queries — is sketched query by query, below the bulk
+        kernels' fixed cost.  A malformed query (empty, or holding an
+        element of an unsupported type) raises the error it raises alone.
         """
-        sketches = None
-        if len(queries) > 1:
-            try:
-                sketches = self._sketch_bulk(flatten_records(queries))
-            except (ConfigurationError, TypeError):
-                pass  # sketched one at a time below, where each raises its own error
-        if sketches is None:
-            sketches = self._sketch_each(queries)
+        sketches = self._sketch_batch(queries, _EMPTY_QUERY)
         if query_sizes is None:
             sizes = sketches.record_sizes
         else:
@@ -1007,25 +1104,6 @@ class SketchStoreIndex(SimilarityIndex):
             sizes=sizes.astype(np.float64),
         )
 
-    def _sketch_each(self, queries: Sequence[Iterable[object]]) -> BulkSketches:
-        """The queries' sketches, one :meth:`_sketch_parts` call per query."""
-        masks, kept, residual_sizes, record_sizes = [], [], [], []
-        for query in queries:
-            mask, values, residual_size = self._sketch_parts(query)
-            if not (mask or residual_size):
-                raise ConfigurationError("query must contain at least one element")
-            masks.append(mask)
-            kept.append(values)
-            residual_sizes.append(residual_size)
-            record_sizes.append(mask.bit_count() + residual_size)
-        return BulkSketches(
-            values=np.concatenate(kept),
-            value_offsets=np.array([0, *accumulate(map(len, kept))], dtype=np.int64),
-            signatures=self._store.pack_signature_masks(masks),
-            residual_record_sizes=np.array(residual_sizes),
-            record_sizes=np.array(record_sizes),
-        )
-
     def _score_estimator_pairs(
         self, workload: _Workload, alive: np.ndarray | None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -1038,9 +1116,13 @@ class SketchStoreIndex(SimilarityIndex):
         query, then row, with ``estimates`` the full intersection
         estimate: the exact buffer overlap plus the family's residual
         estimate, in the scalar sketch's order.  Cost is ``O(matches)``:
-        nothing touches rows the queries miss.
+        nothing touches rows the queries miss, and a workload whose
+        queries kept no value is not matched at all.
         """
         store = self._store
+        if not workload.values.size:
+            empty = np.empty(0, dtype=np.int64)
+            return empty, empty, np.empty(0, dtype=np.float64)
         query_idx, rows, counts = store.match_workload(workload.values, workload.offsets)
         if alive is not None and query_idx.size:
             keep = alive[rows]
@@ -1173,10 +1255,12 @@ class SketchStoreIndex(SimilarityIndex):
         # Relative tolerance so exact integer estimates survive the float
         # noise of ``threshold * |Q|`` without admitting lower scores.
         cut = threshold * sizes * (1.0 - 1e-12)
-        hit = pair_scores >= cut[query_idx]
-        hit_queries = [query_idx[hit]]
-        hit_ids = [ids_of(pair_rows[hit])]
-        hit_scores = [pair_scores[hit] / sizes[query_idx[hit]]]
+        hit_queries, hit_ids, hit_scores = [], [], []
+        if query_idx.size:
+            hit = pair_scores >= cut[query_idx]
+            hit_queries.append(query_idx[hit])
+            hit_ids.append(ids_of(pair_rows[hit]))
+            hit_scores.append(pair_scores[hit] / sizes[query_idx[hit]])
 
         # Any other record scores its integer buffer overlap, at most
         # |H_Q|, and the float test ``overlap >= cut`` is the integer test
@@ -1362,7 +1446,7 @@ class SketchStoreIndex(SimilarityIndex):
                         cell_scores[candidates, columns],
                     )
 
-        filled_queries, slots = np.nonzero(top_ids != _NO_ID)
+        filled = top_ids != _NO_ID
         self.last_workload_stats = WorkloadExecutionStats(
             num_queries=num_queries,
             num_rows=num_rows,
@@ -1372,14 +1456,13 @@ class SketchStoreIndex(SimilarityIndex):
             peak_block_cells=peak_cells,
             dense_cells=num_queries * num_rows,
             estimator_pairs=int(query_idx.size),
-            hit_pairs=int(filled_queries.size),
+            hit_pairs=int(np.count_nonzero(filled)),
         )
-        return _assemble_workload_results(
-            num_queries,
-            [filled_queries],
-            [top_ids[filled_queries, slots]],
-            [top_scores[filled_queries, slots]],
-        )
+        # Every list is in result order already, its filled slots first:
+        # read row by row, the hits need no sort.
+        hits = _hits(top_ids[filled], top_scores[filled])
+        bounds = [0, *accumulate(filled.sum(axis=1).tolist())]
+        return [hits[start:stop] for start, stop in zip(bounds[:-1], bounds[1:])]
 
 
 class GBKMVIndex(SketchStoreIndex):

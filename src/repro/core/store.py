@@ -111,16 +111,19 @@ def append_rows(
     return buffer
 
 
-def mask_to_words(mask: int, num_words: int) -> np.ndarray:
-    """Pack a Python-integer bitmap into little-endian uint64 words."""
+def _mask_words(mask: int, num_words: int) -> list[int]:
+    """A Python-integer bitmap as ``num_words`` little-endian 64-bit words."""
     if mask < 0:
         raise ConfigurationError("bitmap mask must be non-negative")
     if mask >> (num_words * BITS_PER_WORD):
         raise ConfigurationError("bitmap mask has bits beyond the signature width")
-    words = np.zeros(num_words, dtype=np.uint64)
-    for word in range(num_words):
-        words[word] = (mask >> (word * BITS_PER_WORD)) & _WORD_MASK
-    return words
+    shifts = range(0, num_words * BITS_PER_WORD, BITS_PER_WORD)
+    return [(mask >> shift) & _WORD_MASK for shift in shifts]
+
+
+def mask_to_words(mask: int, num_words: int) -> np.ndarray:
+    """Pack a Python-integer bitmap into little-endian uint64 words."""
+    return np.array(_mask_words(mask, num_words), dtype=np.uint64)
 
 
 def words_to_mask(words: np.ndarray) -> int:
@@ -333,6 +336,11 @@ class ColumnarSketchStore:
         ``(n, num_words)`` uint64 bitmap matrix.  Record ids are assigned
         sequentially; the batch's ids are returned as an int64 array.
         ``profile`` records the merge as one ``"append"`` stage.
+
+        The append is all or nothing: every column, derived cache and id
+        map is grown before any of them is published, so a failure (an
+        allocation, say) leaves the batch's ids unassigned and the store
+        answering exactly as before.
         """
         start = time.perf_counter()
         value_lengths = np.ascontiguousarray(value_lengths, dtype=np.int64)
@@ -358,15 +366,10 @@ class ColumnarSketchStore:
         self._absorb_tail()
         base_rows = self.num_rows
         ids = np.arange(self._next_id, self._next_id + num_new, dtype=np.int64)
-        self._ids_identity = self._ids_identity and self._next_id == base_rows
-        if int(ids[-1]) >= self._id_rows.size:
-            grown = np.full(
-                max(2 * self._id_rows.size, int(ids[-1]) + 1, 16), -1, dtype=np.int64
-            )
-            grown[: self._id_rows.size] = self._id_rows
-            self._id_rows = grown
-        self._id_rows[ids] = np.arange(base_rows, base_rows + num_new, dtype=np.int64)
-        self._next_id += num_new
+        id_rows = self._id_rows
+        if int(ids[-1]) >= id_rows.size:
+            id_rows = np.full(max(2 * id_rows.size, int(ids[-1]) + 1, 16), -1, dtype=np.int64)
+            id_rows[: self._id_rows.size] = self._id_rows
         self._extend_base(
             values,
             value_lengths,
@@ -376,6 +379,11 @@ class ColumnarSketchStore:
             ids,
             np.zeros(num_new, dtype=bool),
         )
+        # The rows are in: publish their ids.
+        id_rows[ids] = np.arange(base_rows, base_rows + num_new, dtype=np.int64)
+        self._id_rows = id_rows
+        self._ids_identity = self._ids_identity and self._next_id == base_rows
+        self._next_id += num_new
         self._finalized = False
         if profile is not None:
             profile.record(
@@ -397,26 +405,21 @@ class ColumnarSketchStore:
         tail_values = (
             np.concatenate(pending_values) if lengths.sum() else np.empty(0, dtype=np.float64)
         )
-        if self._num_words:
-            extra = np.zeros((len(pending_values), self._num_words), dtype=np.uint64)
-            for row, mask in enumerate(self._pending_masks):
-                extra[row] = mask_to_words(mask, self._num_words)
-        else:
-            extra = np.zeros((len(pending_values), 0), dtype=np.uint64)
+        extra = self.pack_signature_masks(self._pending_masks)
         record_sizes = np.asarray(self._pending_record_sizes, dtype=np.int64)
         residual_sizes = np.asarray(self._pending_residual_sizes, dtype=np.int64)
         row_ids = np.asarray(self._pending_ids, dtype=np.int64)
         dead = np.asarray(self._pending_dead, dtype=bool)
-
+        self._extend_base(
+            tail_values, lengths, extra, record_sizes, residual_sizes, row_ids, dead
+        )
+        # Sealed: the staged rows are base rows now, at the same row numbers.
         self._pending_values = []
         self._pending_masks = []
         self._pending_record_sizes = []
         self._pending_residual_sizes = []
         self._pending_ids = []
         self._pending_dead = []
-        self._extend_base(
-            tail_values, lengths, extra, record_sizes, residual_sizes, row_ids, dead
-        )
 
     def _extend_base(
         self,
@@ -433,61 +436,73 @@ class ColumnarSketchStore:
         The single home of base-segment growth, shared by the tail absorb
         (one small batch of staged singles) and :meth:`append_bulk` (a
         whole construction batch): every column grows by the batch in
-        the spare capacity behind it (:meth:`_append_column`), and — when
+        the spare capacity behind it (:func:`append_rows`), and — when
         the caches are warm — the per-row maxima/exactness columns grow
         the same way and the value→record join index absorbs the batch
         with one two-run merge.
+
+        Everything is grown first and published last, so a failure leaves
+        every column as it was: a write into the spare capacity behind a
+        column's rows is invisible until the column's view is widened.
         """
         base_rows = int(self._record_sizes.size)
         num_new = int(lengths.size)
         # The bulk build's one append into an empty store allocates
         # exactly, so construction peaks no higher than a concatenation.
         spare = base_rows > 0
-        new_offsets = self._offsets[-1] + np.cumsum(lengths)
-        for name, rows in (
+        base_offset = int(self._offsets[-1])
+        offsets = base_offset + np.cumsum(lengths)
+        columns = [
             ("_values", flat_values),
-            ("_offsets", new_offsets),
+            ("_offsets", offsets),
             ("_signatures", signature_words),
             ("_record_sizes", record_sizes),
             ("_residual_record_sizes", residual_sizes),
             ("_row_ids", row_ids),
             ("_tombstones", dead),
-        ):
-            self._append_column(name, rows, spare)
+        ]
         if self._row_max is not None:
             tail_max = np.zeros(num_new, dtype=np.float64)
             nonempty = lengths > 0
-            last = self._offsets[base_rows + 1 :] - 1
-            tail_max[nonempty] = self._values[last[nonempty]]
-            self._append_column("_row_max", tail_max, spare)
-            self._append_column("_row_exact", lengths >= residual_sizes, spare)
+            tail_max[nonempty] = flat_values[offsets[nonempty] - base_offset - 1]
+            columns.append(("_row_max", tail_max))
+            columns.append(("_row_exact", lengths >= residual_sizes))
+        grown = {
+            name: self._grown_column(name, rows, spare) for name, rows in columns if len(rows)
+        }
+        join_index = None
         if self._sorted_values is not None:
             tail_rows = np.repeat(
                 np.arange(base_rows, base_rows + num_new, dtype=np.int64),
                 lengths,
             )
             order = stable_argsort(flat_values)
-            self._sorted_values, self._sorted_rows = _merge_sorted_runs(
+            join_index = _merge_sorted_runs(
                 self._sorted_values,
                 self._sorted_rows,
                 flat_values[order],
                 tail_rows[order],
             )
+        for name, (buffer, size) in grown.items():
+            self._buffers[name] = buffer
+            setattr(self, name, buffer[:size])
+        if join_index is not None:
+            self._sorted_values, self._sorted_rows = join_index
 
-    def _append_column(self, name: str, rows: np.ndarray, spare: bool) -> None:
-        """Grow column attribute ``name`` by ``rows`` (see :func:`append_rows`).
+    def _grown_column(
+        self, name: str, rows: np.ndarray, spare: bool
+    ) -> tuple[np.ndarray, int]:
+        """Column attribute ``name``'s buffer with ``rows`` written behind its
+        rows (see :func:`append_rows`), and its new row count.
 
         A column the store did not allocate is exactly as long as its
-        rows, so a non-empty batch always moves it into a new,
-        store-owned buffer before anything is written.
+        rows, so the batch always moves it into a new, store-owned buffer.
+        Nothing is published: the column still reads its old rows.
         """
-        if not len(rows):
-            return
         column = getattr(self, name)
         size = len(column)
         buffer = append_rows(self._buffers.get(name, column), size, rows, spare)
-        self._buffers[name] = buffer
-        setattr(self, name, buffer[: size + len(rows)])
+        return buffer, size + len(rows)
 
     def finalize(self) -> None:
         """Absorb the tail, compact if due, and ensure the derived caches exist."""
@@ -836,7 +851,7 @@ class ColumnarSketchStore:
         id_rows = self._id_rows[: self._next_id]
         stop = count
         while True:
-            live = np.flatnonzero(id_rows[:stop] >= 0)
+            live = np.nonzero(id_rows[:stop] >= 0)[0]
             if live.size >= count or stop >= id_rows.size:
                 return live[:count]
             stop *= 2
@@ -957,15 +972,8 @@ class ColumnarSketchStore:
 
     def pack_signature_masks(self, masks: Sequence[int]) -> np.ndarray:
         """Pack a workload's signature bitmaps into one ``(B, num_words)`` matrix."""
-        words = np.zeros((len(masks), self._num_words), dtype=np.uint64)
-        for row, mask in enumerate(masks):
-            if self._num_words:
-                words[row] = mask_to_words(mask, self._num_words)
-            elif mask:
-                raise ConfigurationError(
-                    "bitmap mask has bits beyond the signature width"
-                )
-        return words
+        words = [_mask_words(mask, self._num_words) for mask in masks]
+        return np.array(words, dtype=np.uint64).reshape(len(masks), self._num_words)
 
     def signature_overlap_block(
         self,

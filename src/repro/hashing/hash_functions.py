@@ -33,6 +33,15 @@ _MIX_2 = 0x94D0_49BB_1331_11EB
 # exactly representable and strictly below 1.0.
 _INV_2_53 = float(2.0**-53)
 
+#: Fingerprints from which :meth:`UnitHash.hash_fingerprints` mixes a
+#: batch with numpy; a smaller one is mixed in a Python loop.  The numpy
+#: pass costs about ten ufunc calls (10.5 µs) whatever the batch size,
+#: the loop 0.57 µs per fingerprint, and the two meet at 18 fingerprints
+#: (timeit medians on a 2-vCPU VM; in a slower phase of the same host
+#: they met at 20 to 24, each side within 2 µs of the other there; see
+#: CHANGES.md).
+VECTOR_HASH_MIN_SIZE = 18
+
 
 def mix64(value: int) -> int:
     """Finalize a 64-bit integer with the SplitMix64 mixing function.
@@ -54,6 +63,21 @@ def mix64(value: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX_1) & MAX_UINT64
     z = ((z ^ (z >> 27)) * _MIX_2) & MAX_UINT64
     return (z ^ (z >> 31)) & MAX_UINT64
+
+
+def _unit_hashes(fingerprints: list[int], seed_mix: int) -> list[float]:
+    """``hash_to_unit(mix64(fingerprint ^ seed_mix))`` of each fingerprint.
+
+    :func:`mix64` and :func:`hash_to_unit` inlined into one loop: the
+    scalar side of :meth:`UnitHash.hash_fingerprints`.
+    """
+    hashes = []
+    for fingerprint in fingerprints:
+        z = ((fingerprint ^ seed_mix) + _GOLDEN_GAMMA) & MAX_UINT64
+        z = ((z ^ (z >> 30)) * _MIX_1) & MAX_UINT64
+        z = ((z ^ (z >> 27)) * _MIX_2) & MAX_UINT64
+        hashes.append(((z ^ (z >> 31)) >> 11) * _INV_2_53)
+    return hashes
 
 
 def mix64_many(values: np.ndarray) -> np.ndarray:
@@ -252,11 +276,17 @@ class UnitHash:
 
         The vectorised counterpart of :meth:`hash_int`; bulk pipelines
         that already hold a fingerprint column use this to skip
-        re-fingerprinting.
+        re-fingerprinting.  A batch of fewer than
+        :data:`VECTOR_HASH_MIN_SIZE` fingerprints — a query's or a flushed
+        record's residual elements, typically — is mixed in a Python loop
+        instead of numpy's fixed-cost pass; both sides give
+        :meth:`hash_int`'s value for every fingerprint.
         """
         fingerprints = np.ascontiguousarray(fingerprints, dtype=np.uint64)
-        if fingerprints.size == 0:
-            return np.empty(0, dtype=np.float64)
+        if fingerprints.size < VECTOR_HASH_MIN_SIZE:
+            return np.array(
+                _unit_hashes(fingerprints.tolist(), self._seed_mix), dtype=np.float64
+            )
         z = mix64_many(fingerprints ^ np.uint64(self._seed_mix))
         return (z >> np.uint64(11)).astype(np.float64) * _INV_2_53
 

@@ -8,10 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.core.index as index_module
-from repro.baselines import GKMVSearchIndex
-from repro.core import DEFAULT_ROW_BLOCK_SIZE, GBKMVIndex
+from repro.baselines import GKMVSearchIndex, KMVSearchIndex
+from repro.core import DEFAULT_ROW_BLOCK_SIZE, FrequentElementVocabulary, GBKMVIndex
+from repro.core.kmv import KMVSketch
 from repro.core.sorting import PACKED_SORT_MIN_SIZE, stable_lexsort
 from repro.exact import BruteForceSearcher, containment_similarity
+from repro.hashing import UnitHash
 
 record_strategy = st.sets(st.integers(min_value=0, max_value=400), min_size=1, max_size=60)
 dataset_strategy = st.lists(record_strategy, min_size=2, max_size=15)
@@ -341,3 +343,83 @@ class TestTopKStoppingRule:
         assert 0 < stats.num_blocks < -(-stats.num_rows // DEFAULT_ROW_BLOCK_SIZE)
         expected = [ranking[:10] for ranking in _oracle_rankings(index, queries)]
         assert [_pairs(hits) for hits in got] == expected
+
+    @pytest.mark.parametrize("backend", ["gbkmv", "kmv"])
+    def test_zero_scored_pair_ranks_by_id_among_the_fill(self, backend):
+        # Both queries have bound 0 and share a stored value with records 5
+        # and 8.  The first query's pair with record 5 scores exactly 0.0
+        # (GB-KMV: k∪ = 1 with neither side exact; KMV: the shared value
+        # lies above U(k), so K∩ = 0), so record 5 ranks by id among the
+        # records filled in at 0.0; the second query's held hits all score
+        # above 0.0, and the fill follows them.
+        index, queries, oracle = _zero_score_setup(backend)
+        first, second = (oracle(query) for query in queries)
+        assert [record_id for record_id, _score in first] == [8, *range(8), *range(9, 12)]
+        assert first[0][1] > 0.0 and first[6] == (5, 0.0)
+        held = {record_id for record_id, score in second if score > 0.0}
+        assert 8 in held
+        assert second[len(held) :] == [(i, 0.0) for i in range(12) if i not in held]
+        for deleted in (None, 1):
+            if deleted is not None:
+                index.delete(deleted)
+            rankings = [oracle(query) for query in queries]
+            for k in range(1, index.num_records + 2):
+                expected = [ranking[:k] for ranking in rankings]
+                got = index.top_k_many(queries, k)
+                assert [_pairs(hits) for hits in got] == expected, k
+                assert [_pairs(index.top_k(query, k)) for query in queries] == expected, k
+                stats = index.last_workload_stats
+                assert stats.estimator_pairs >= 1 and stats.swept_queries == 0
+
+
+def _zero_score_setup(backend):
+    """Twelve records, two queries of bound 0 and the scalar oracle ranking.
+
+    Elements are picked by the rank of their hash value: the first few
+    ranks are the values the sketches keep, ranks from 600 on are never
+    kept (above ``τ`` for GB-KMV, behind two smaller values for KMV).
+    """
+    hasher = UnitHash(seed=0)
+    ranked = sorted(range(2_000), key=hasher)
+    a, b, c, s = (ranked[rank] for rank in (10, 20, 25, 30))
+    unkept = iter(ranked[600:1_400])
+    records = [[next(unkept), next(unkept), next(unkept)] for _ in range(12)]
+    if backend == "gbkmv":
+        hot = ranked[1_500]  # a buffer element of every filler, none of the queries
+        records = [[*record[:2], hot] for record in records]
+        records[5] = [a, next(unkept)]  # |L_X| = 1, one value shared: k∪ = 1
+        records[8] = [a, c, next(unkept)]  # k∪ = 2: a score above 0
+        index = GBKMVIndex.from_parameters(
+            records,
+            vocabulary=FrequentElementVocabulary([hot]),
+            threshold=hasher(ranked[40]),
+            hasher=hasher,
+            budget=100.0,
+        )
+        queries = [[a, next(unkept)], [a, c, next(unkept)]]
+
+        def oracle(query):
+            return _oracle_rankings(index, [query])[0]
+
+        return index, queries, oracle
+    records[5] = [b, s, next(unkept)]  # keeps {b, s}: U(2) = h(b) < h(s)
+    records[8] = [a, c, next(unkept)]  # keeps {a, c}: shares a below U(2)
+    index = KMVSearchIndex.from_parameters(records, hasher=hasher, k_per_record=2, budget=24.0)
+    queries = [[a, s, next(unkept)], [a, c, next(unkept)]]
+
+    def oracle(query):
+        query_sketch = KMVSketch.from_record(query, k=2, hasher=hasher)
+        ranking = [
+            (
+                record_id,
+                query_sketch.intersection_size_estimate(
+                    KMVSketch.from_record(records[record_id], k=2, hasher=hasher)
+                )
+                / len(query),
+            )
+            for record_id in index.store.live_record_ids().tolist()
+        ]
+        ranking.sort(key=lambda pair: (-pair[1], pair[0]))
+        return ranking
+
+    return index, queries, oracle

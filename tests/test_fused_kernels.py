@@ -11,13 +11,16 @@ per-record sketch oracle in ``tests/property/test_property_index.py``.
 
 from __future__ import annotations
 
+from itertools import cycle
+
 import numpy as np
 import pytest
 
 from repro._errors import ConfigurationError
 from repro.baselines import GKMVSearchIndex, KMVSearchIndex
 from repro.core import DEFAULT_ROW_BLOCK_SIZE, FrequentElementVocabulary, GBKMVIndex
-from repro.core.index import SWEEP_BLOCK_CELLS, SketchStoreIndex
+import repro.core.index as index_module
+from repro.core.index import BULK_SKETCH_MIN_ELEMENTS, SKETCH_RECORD_ELEMENTS, SWEEP_BLOCK_CELLS
 from repro.core.store import ColumnarSketchStore
 from repro.datasets import sample_queries
 from repro.hashing import UnitHash
@@ -434,49 +437,101 @@ def typed_setup(request):
     return index, _typed_queries(index, records)
 
 
+def _dispatch_count(queries):
+    """What the preparation dispatch weighs: elements plus a per-query cost."""
+    return sum(map(len, queries)) + SKETCH_RECORD_ELEMENTS * len(queries)
+
+
+def _around_the_dispatch(queries, first=()):
+    """``first`` then ``queries`` cycled: the longest such workload sketched
+    query by query, and it with one query more, sketched in bulk."""
+    below = list(first)
+    for query in cycle(queries):
+        if _dispatch_count(below + [query]) >= BULK_SKETCH_MIN_ELEMENTS:
+            return below, below + [query]
+        below.append(query)
+
+
+def _workloads(queries, side, first=()):
+    """The workload of one dispatch side: each query alone, or just below or
+    above :data:`BULK_SKETCH_MIN_ELEMENTS`."""
+    if side == "single":
+        return [[query] for query in [*first, *queries]]
+    below, above = _around_the_dispatch(queries, first)
+    return [below if side == "below" else above]
+
+
+@pytest.fixture
+def bulk_calls(monkeypatch):
+    """The sizes of the batches the bulk kernels sketch."""
+    calls = []
+    flatten = index_module.flatten_records
+
+    def recording(records, *args, **kwargs):
+        calls.append(len(records))
+        return flatten(records, *args, **kwargs)
+
+    monkeypatch.setattr(index_module, "flatten_records", recording)
+    return calls
+
+
 class TestBulkPreparation:
-    """A workload is sketched in bulk, a single query record by record, and
-    the two give the same answers."""
+    """A workload above the dispatch is sketched in bulk, one below it query
+    by query, and either gives the answers of its queries run alone."""
 
-    def test_workload_equals_queries_alone(self, typed_setup, monkeypatch):
+    @pytest.mark.parametrize("side", ["single", "below", "above"])
+    def test_workload_equals_queries_alone(self, typed_setup, side, monkeypatch, bulk_calls):
         index, queries = typed_setup
-        sketched_alone = []
-        sketch_each = SketchStoreIndex._sketch_each
-
-        def recording(self, each):
-            sketched_alone.append(len(each))
-            return sketch_each(self, each)
-
-        monkeypatch.setattr(SketchStoreIndex, "_sketch_each", recording)
-        explicit = [2 * len(set(query)) + 1 for query in queries]
-        for sizes in (None, explicit):
-            alone_sizes = [None] * len(queries) if sizes is None else sizes
-            for threshold in (0.0, 0.3):
-                alone = [
-                    index.search(query, threshold, query_size=size)
-                    for query, size in zip(queries, alone_sizes)
+        for workload in _workloads(queries, side):
+            explicit = [2 * len(set(query)) + 1 for query in workload]
+            if side == "single":
+                # One query, sketched by the bulk kernels against the same
+                # query sketched on its own.
+                monkeypatch.setattr(index_module, "BULK_SKETCH_MIN_ELEMENTS", 0)
+            for sizes in (None, explicit):
+                alone_sizes = [None] * len(workload) if sizes is None else sizes
+                bulk_calls.clear()
+                fused = [
+                    index.search_many(workload, threshold, query_sizes=sizes)
+                    for threshold in (0.0, 0.3)
+                ] + [index.top_k_many(workload, k, query_sizes=sizes) for k in (1, 5)]
+                assert bulk_calls == ([] if side == "below" else [len(workload)] * 4)
+                with monkeypatch.context() as patch:
+                    patch.setattr(index_module, "BULK_SKETCH_MIN_ELEMENTS", 10**9)
+                    alone = [
+                        [
+                            index.search(query, threshold, query_size=size)
+                            for query, size in zip(workload, alone_sizes)
+                        ]
+                        for threshold in (0.0, 0.3)
+                    ] + [
+                        [
+                            index.top_k(query, k, query_size=size)
+                            for query, size in zip(workload, alone_sizes)
+                        ]
+                        for k in (1, 5)
+                    ]
+                assert bulk_calls == ([] if side == "below" else [len(workload)] * 4)
+                assert [_as_pairs(answer) for answer in fused] == [
+                    _as_pairs(answer) for answer in alone
                 ]
-                fused = index.search_many(queries, threshold, query_sizes=sizes)
-                assert _as_pairs(fused) == _as_pairs(alone)
-            for k in (1, 5):
-                alone = [
-                    index.top_k(query, k, query_size=size)
-                    for query, size in zip(queries, alone_sizes)
-                ]
-                fused = index.top_k_many(queries, k, query_sizes=sizes)
-                assert _as_pairs(fused) == _as_pairs(alone)
-        # Only the one-query calls were sketched one query at a time.
-        assert sketched_alone == [1] * (8 * len(queries))
 
+    @pytest.mark.parametrize("side", ["single", "below", "above"])
     @pytest.mark.parametrize(
         "bad, size",
         [([], None), ([1, 2.5], None), (np.array([1.5, 2.5]), None), ([1, 2], 0)],
         ids=["empty", "float-element", "float-array", "query-size-0"],
     )
-    def test_malformed_query_raises_its_own_error(self, typed_setup, bad, size):
+    def test_malformed_query_raises_its_own_error(self, typed_setup, bad, size, side):
         index, queries = typed_setup
-        workload = queries[:2] + [bad] + queries[2:4]
-        sizes = None if size is None else [3, 3, size, 3, 3]
+        workload = _workloads(queries, side, first=[bad])[0]
+        # The malformed query goes to the middle of the workload.
+        workload, position = workload[1:], (len(workload) - 1) // 2
+        workload.insert(position, bad)
+        sizes = None if size is None else [3] * len(workload)
+        if sizes is not None:
+            sizes[position] = size
+        assert (_dispatch_count(workload) >= BULK_SKETCH_MIN_ELEMENTS) == (side == "above")
         for run_alone, run_fused in (
             (
                 lambda: index.search(bad, 0.5, query_size=size),
@@ -494,6 +549,42 @@ class TestBulkPreparation:
             assert type(fused.value) is type(alone.value)
             assert str(fused.value) == str(alone.value)
 
+    @pytest.mark.parametrize("backend", ["gbkmv", "gkmv"])
+    def test_a_query_keeping_no_value_is_not_matched(self, backend, monkeypatch):
+        # A query whose residual keeps no hash value shares none with any
+        # record: no join match and no estimator run, and its answers and
+        # the call's footprint are still reported.
+        index, _ = _typed_index(backend)
+        if backend == "gbkmv":
+            unkept = list(index.vocabulary.elements[:3])  # buffer elements only
+        else:
+            unkept = [x for x in range(10**6, 10**6 + 400) if index.hasher(x) > index.threshold]
+            unkept = unkept[:4]
+        expected_search = index.search(unkept, 0.0)
+        expected_top = index.top_k(unkept, 5)
+        expected_pairs = _as_pairs([expected_search, expected_top])
+        calls = []
+
+        def spy(name):
+            def refuse(*args, **kwargs):
+                calls.append(name)
+                raise AssertionError(f"{name} ran for a query that kept no value")
+
+            return refuse
+
+        monkeypatch.setattr(ColumnarSketchStore, "match_workload", spy("match_workload"))
+        monkeypatch.setattr(type(index), "_residual_estimates", spy("estimator"))
+        index.last_workload_stats = None
+        for threshold in (0.0, 0.5):
+            got = index.search(unkept, threshold)
+            stats = index.last_workload_stats
+            assert (stats.num_queries, stats.estimator_pairs) == (1, 0)
+            assert stats.hit_pairs == len(got)
+        assert _as_pairs([index.search(unkept, 0.0), index.top_k(unkept, 5)]) == expected_pairs
+        assert index.last_workload_stats.hit_pairs == 5
+        assert index.search_many([unkept, unkept], 0.5) == [index.search(unkept, 0.5)] * 2
+        assert calls == []
+
     def test_colliding_vocabulary_sketches_queries_one_by_one(self):
         # "a" and b"a" share a fingerprint: the bulk kernel cannot split a
         # batch over this vocabulary, so a workload falls back to the
@@ -504,8 +595,10 @@ class TestBulkPreparation:
             records, vocabulary=vocabulary, threshold=0.9, hasher=UnitHash(seed=0), budget=10.0
         )
         queries = [["a", "x"], [b"a", "z"], ["y"]]
-        for threshold in (0.0, 0.5):
-            alone = [index.search(query, threshold) for query in queries]
-            assert _as_pairs(index.search_many(queries, threshold)) == _as_pairs(alone)
-        alone = [index.top_k(query, 2) for query in queries]
-        assert _as_pairs(index.top_k_many(queries, 2)) == _as_pairs(alone)
+        below, above = _around_the_dispatch(queries)
+        for workload in (queries, below, above):
+            for threshold in (0.0, 0.5):
+                alone = [index.search(query, threshold) for query in workload]
+                assert _as_pairs(index.search_many(workload, threshold)) == _as_pairs(alone)
+            alone = [index.top_k(query, 2) for query in workload]
+            assert _as_pairs(index.top_k_many(workload, 2)) == _as_pairs(alone)

@@ -15,6 +15,10 @@ from repro.hashing import (
     mix64,
     mix64_many,
 )
+from repro.hashing.hash_functions import VECTOR_HASH_MIN_SIZE
+
+#: Every batch size from empty to twice the scalar/vectorised dispatch.
+DISPATCH_SIZES = range(2 * VECTOR_HASH_MIN_SIZE + 1)
 
 
 class TestMix64:
@@ -173,10 +177,46 @@ class TestUnitHash:
         ],
     )
     def test_fingerprint_hashing_pinned_values(self, seed, expected):
-        # Every stored sketch holds these values: the mixer must not drift.
+        # Every stored sketch holds these values: the mixer must not drift,
+        # on either side of the scalar/vectorised dispatch.
         fingerprints = np.array([0, 1, 2**63, MAX_UINT64], dtype=np.uint64)
-        assert UnitHash(seed=seed).hash_fingerprints(fingerprints).tolist() == expected
-        assert [UnitHash(seed=seed).hash_int(int(fp)) for fp in fingerprints] == expected
+        hasher = UnitHash(seed=seed)
+        assert hasher.hash_fingerprints(fingerprints).tolist() == expected
+        assert [hasher.hash_int(int(fp)) for fp in fingerprints] == expected
+        repeats = -(-VECTOR_HASH_MIN_SIZE // fingerprints.size)
+        vectorised = hasher.hash_fingerprints(np.tile(fingerprints, repeats))
+        assert vectorised.size >= VECTOR_HASH_MIN_SIZE
+        assert vectorised.tolist() == expected * repeats
+
+    @pytest.mark.parametrize("seed", [0, 99])
+    def test_hash_fingerprints_equals_hash_int_across_the_dispatch(self, seed):
+        hasher = UnitHash(seed=seed)
+        edges = [0, 1, 2**63, 2**64 - 1, 2**63 - 1, 2**32]
+        rng = np.random.default_rng(seed)
+        pool = edges + rng.integers(0, 2**64, 2 * VECTOR_HASH_MIN_SIZE, dtype=np.uint64).tolist()
+        for size in DISPATCH_SIZES:
+            fingerprints = np.array(pool[:size], dtype=np.uint64)
+            hashes = hasher.hash_fingerprints(fingerprints)
+            assert hashes.dtype == np.float64 and hashes.shape == (size,)
+            assert hashes.tolist() == [hasher.hash_int(fp) for fp in pool[:size]], size
+
+    @pytest.mark.parametrize("seed", [0, 99])
+    @pytest.mark.parametrize("kind", ["int", "negative", "str", "bytes", "mixed"])
+    def test_hash_many_equals_call_across_the_dispatch(self, seed, kind):
+        hasher = UnitHash(seed=seed)
+        ints = [0, 1, 2**63, 2**64 - 1, 7, 2**40 + 3]
+        ints += list(range(100, 100 + 2 * VECTOR_HASH_MIN_SIZE))
+        pool = {
+            "int": ints,
+            "negative": [-1, -(2**63), 0, -12345] + [-value for value in ints[4:]],
+            "str": ["", "a", "element"] + [f"w{value}" for value in ints],
+            "bytes": [b"", b"a", b"\xff"] + [b"b%d" % value for value in ints],
+            "mixed": [0, "a", b"a", True, -7, 2**64 - 1, 2**70] + ints,
+        }[kind]
+        for size in DISPATCH_SIZES:
+            hashes = hasher.hash_many(pool[:size])
+            assert hashes.dtype == np.float64 and hashes.shape == (size,)
+            assert hashes.tolist() == [hasher(element) for element in pool[:size]], size
 
     def test_pack_unpack_roundtrip(self):
         hasher = UnitHash(seed=123456789)
